@@ -19,4 +19,4 @@ __all__ = [
     "InitialData", "Simulator", "State", "Trajectory", "initialize", "run",
 ]
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -17,7 +17,7 @@ from .config import RunConfig, SourceSpec
 from .errors import (GridMismatch, IncompatibleData, NotDivergenceFree,
                      Violation)
 from .fem1d import VerticalMesh, mass, mixed_div, mixed_mass
-from .mode_assembly import ModeOperator, divergence_blocks
+from .mode_assembly import ModeOperator, StepCoefficients, divergence_blocks
 from .spectral import (ModeIndex, SpectralField, forward_transform,
                        mode_table, sample_function, signed_k2, zero_field)
 
@@ -123,7 +123,7 @@ def _divergence_residual(v: SpectralField) -> float:
 
 
 class Simulator:
-    """Owns the per-mode LU factorizations for one (params, grid, dt)."""
+    """Owns the per-mode band LU factorizations for one (params, grid, dt)."""
 
     def __init__(self, cfg: RunConfig, steady: bool = False, threads: int = 1):
         cfg.disc.validate()
@@ -132,9 +132,9 @@ class Simulator:
         self.mf = VerticalMesh("fluid", cfg.disc.nf)
         self.threads = max(1, threads)
         self.modes = mode_table(cfg.disc.n1, cfg.disc.n2)
-        self.ops = [ModeOperator(m, cfg.params, self.mb, self.mf,
-                                 cfg.disc.dt, steady=steady)
-                    for m in self.modes]
+        coeffs = StepCoefficients(cfg.params, self.mb, self.mf, cfg.disc.dt,
+                                  steady=steady)
+        self.ops = [ModeOperator(m, coeffs) for m in self.modes]
 
     def _sample_sources(self, t: float):
         src = self.cfg.sources
@@ -210,9 +210,14 @@ class Simulator:
         return out
 
 
-def initialize(cfg: RunConfig, data: InitialData) -> State:
+def initialize(cfg: RunConfig, data: InitialData,
+               sim: Simulator | None = None) -> State:
     """Build the discrete initial State, recovering p_b(0) from the fluid
-    content and checking the degenerate-storage compatibility condition."""
+    content and checking the degenerate-storage compatibility condition.
+
+    The degenerate regimes harvest p_b(0) or the fluid state from one
+    implicit solve; it uses `sim` (a Simulator for cfg) when given and
+    builds one otherwise."""
     p = cfg.params
     d = cfg.disc
     s = _zero_state(cfg)
@@ -265,7 +270,8 @@ def initialize(cfg: RunConfig, data: InitialData) -> State:
     if p.c0 == 0 or p.rho_f == 0:
         # pressure (c0 = 0) and fluid state (rho_f = 0) are instantaneously
         # determined; harvest them from one dummy implicit solve at t = 0
-        sim = Simulator(cfg)
+        if sim is None:
+            sim = Simulator(cfg)
         probe = sim.step(s, mode_sources=sim._sample_sources(0.0))
         if p.c0 == 0:
             s.p_b = probe.p_b
@@ -284,7 +290,7 @@ def run(cfg: RunConfig, data: InitialData, threads: int = 1) -> Trajectory:
     if abs(ratio - round(ratio)) > 1e-9:
         raise Violation("t_end", d.t_end, "t_end/dt must be an integer")
     sim = Simulator(cfg, threads=threads)
-    s = initialize(cfg, data)
+    s = initialize(cfg, data, sim)
     traj = Trajectory(states=[s])
     traj.energies.append(en.energy(s, cfg.params))
     for n in range(d.n_steps):

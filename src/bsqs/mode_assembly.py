@@ -8,19 +8,25 @@ box, clamped at x3=1), pore pressure p (P1 Biot, zero at x3=1), fluid
 velocity v (3 x P2 on the fluid box, clamped at x3=-1), and fluid pressure
 p_f (P1 fluid, unconstrained).  The elastic velocity w is eliminated
 algebraically (w^{n+1} = (u^{n+1} - u^n)/dt) when rho_b > 0.
+
+The free DOFs are ordered node by node in x3 (see Layout.free_indices), so
+each mode's step matrix is banded with a half-bandwidth that does not grow
+with the mesh.  It is stored in O(N) memory and factored with LAPACK's band
+LU (zgbtrf / zgbtrs).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .config import PhysicalParams
-from .errors import (DegenerateParams, MeshMismatch, ModeMismatch,
-                     SingularSystem, TooLarge)
+from .errors import DegenerateParams, MeshMismatch, SingularSystem, TooLarge
 from .fem1d import VerticalMesh, d_trial, mass, mixed_div, mixed_mass, stiffness
 from .spectral import ModeIndex, signed_k2
 
@@ -28,6 +34,8 @@ TWO_PI = 2.0 * np.pi
 
 # slot order in the monolithic per-mode vector
 SLOTS = ("u1", "u2", "u3", "p", "v1", "v2", "v3", "pf")
+# element degree of each slot: P2 velocities/displacements, P1 pressures
+DEGREES = (2, 2, 2, 1, 2, 2, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -58,12 +66,26 @@ class Layout:
         return sum(int(m.sum()) for m in self.free_masks)
 
     def free_indices(self):
-        """Indices of free DOFs within the concatenated full-node vector."""
-        idx, off = [], 0
-        for size, mask in zip(self.full_sizes, self.free_masks):
-            idx.append(off + np.flatnonzero(mask))
-            off += size
-        return np.concatenate(idx)
+        """Indices of free DOFs within the concatenated full-node vector, in
+        node-interleaved order: ascending x3 from the fluid bottom through
+        the interface (fluid DOFs before Biot DOFs at x3 = 0) to the Biot top,
+        with all fields of one node together in slot order.  A coupling then
+        spans at most one element of one box, or the interface, so the step
+        matrix is banded.  The returned array is shared; do not modify it."""
+        return self._free_order
+
+    @cached_property
+    def _free_order(self):
+        box, pos, slot = [], [], []
+        for s, (size, deg) in enumerate(zip(self.full_sizes, DEGREES)):
+            box.append(np.full(size, s < 4))  # slots 0-3 are Biot: sort last
+            pos.append(np.arange(size) * (2 // deg))      # in half-cells
+            slot.append(np.full(size, s))
+        order = np.lexsort((np.concatenate(slot), np.concatenate(pos),
+                            np.concatenate(box)))
+        order = order[np.concatenate(self.free_masks)[order]]
+        order.setflags(write=False)
+        return order
 
     def full_offsets(self):
         offs, off = [], 0
@@ -90,17 +112,6 @@ class Layout:
         u = np.stack([out["u1"], out["u2"], out["u3"]])
         v = np.stack([out["v1"], out["v2"], out["v3"]])
         return u, out["p"], v, out["pf"]
-
-
-@dataclass
-class ModeBlockSystem:
-    """Monolithic complex system for one mode and one implicit step."""
-
-    mode: ModeIndex
-    dt: float
-    layout: Layout
-    matrix: np.ndarray
-    rhs: np.ndarray
 
 
 def elastic_blocks(kap1, kap2, M, K, Ct, mu, lam):
@@ -143,85 +154,173 @@ def _symbols(mode: ModeIndex):
     return TWO_PI * mode.k1, TWO_PI * mode.k2
 
 
-def build_step_matrix(mode: ModeIndex, p: PhysicalParams, mb: VerticalMesh,
-                      mf: VerticalMesh, dt: float, steady: bool = False
-                      ) -> tuple[np.ndarray, Layout]:
-    """Assemble the free-DOF system matrix for one implicit-Euler step."""
-    if mb.box != "biot" or mf.box != "fluid":
-        raise MeshMismatch("expected (biot, fluid) mesh pair")
-    lay = Layout(mb, mf)
-    kap1, kap2 = _symbols(mode)
-    b = _mats(mb)
-    f = _mats(mf)
+# Powers of (kap1, kap2) of the monomials the step matrix is a combination
+# of: A(kap) = sum over m of kap1**m[0] * kap2**m[1] * A_m.
+MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
+
+# Powers of the lateral symbols each vertical matrix carries in the forms:
+# M and Mp pair two lateral derivatives, Ct and Mm one, K, Kp and Cm none.
+_SYMBOL_DEGREE = {"M": 2, "Mp": 2, "Ct": 1, "Mm": 1, "K": 0, "Kp": 0, "Cm": 0}
+
+# (kap1, kap2, degree) of the evaluations that give the A_m in MONOMIALS
+# order; the last two are combined as (A(1, 1) - A(1, -1)) / 2 for kap1*kap2.
+_EVALUATIONS = ((0.0, 0.0, 0), (1.0, 0.0, 1), (0.0, 1.0, 1), (1.0, 0.0, 2),
+                (0.0, 1.0, 2), (1.0, 1.0, 2), (1.0, -1.0, 2))
+
+
+def _step_entries(p, lay, dt, steady, kap1, kap2, degree):
+    """Entries (full-vector rows, cols, values) of the step matrix at the
+    symbols (kap1, kap2), keeping only the terms that carry `degree` powers
+    of the symbols: the forms see only their vertical matrices of that
+    degree, and the symbol-free terms (inertia, storage, interface
+    couplings) enter with degree 0."""
+    mb, mf = lay.mb, lay.mf
+    b, f = _mats(mb), _mats(mf)
+
+    def graded(mats):
+        return {k: m if _SYMBOL_DEGREE[k] == degree else np.zeros_like(m)
+                for k, m in mats.items()}
+
+    gb, gf = graded(b), graded(f)
+    const = degree == 0
     offs = lay.full_offsets()
-    N = sum(lay.full_sizes)
-    A = np.zeros((N, N), dtype=complex)
+    rows, cols, vals = [], [], []
 
     def put(row_slot, col_slot, block):
-        r, c = SLOTS.index(row_slot), SLOTS.index(col_slot)
-        A[offs[r]:offs[r] + lay.full_sizes[r],
-          offs[c]:offs[c] + lay.full_sizes[c]] += block
+        i, j = np.nonzero(block)
+        rows.append(offs[SLOTS.index(row_slot)] + i)
+        cols.append(offs[SLOTS.index(col_slot)] + j)
+        vals.append(block[i, j])
+
+    def put_point(row, col, value):
+        rows.append([row])
+        cols.append([col])
+        vals.append([value])
 
     ub_if = [offs[a] + mb.interface_node(2) for a in range(3)]
     p_if = offs[3] + mb.interface_node(1)
     v_if = [offs[4 + a] + mf.interface_node(2) for a in range(3)]
 
     # --- E-rows: Biot momentum tested with xi ---
-    aE = elastic_blocks(kap1, kap2, b["M"], b["K"], b["Ct"], p.mu, p.lam)
+    aE = elastic_blocks(kap1, kap2, gb["M"], gb["K"], gb["Ct"], p.mu, p.lam)
     visc_coeff = 1.0 if steady else 1.0 + p.delta / dt
     for a in range(3):
         for c in range(3):
             put(f"u{a+1}", f"u{c+1}", visc_coeff * aE[a, c])
-        if p.rho_b > 0 and not steady:
+        if const and p.rho_b > 0 and not steady:
             put(f"u{a+1}", f"u{a+1}", (p.rho_b / dt**2) * b["M"])
     # -alpha (p, div xi): Hermitian transpose of the divergence pairing
-    dvb = divergence_blocks(kap1, kap2, b["Mm"], b["Cm"])
+    dvb = divergence_blocks(kap1, kap2, gb["Mm"], gb["Cm"])
     for a in range(3):
         put(f"u{a+1}", "p", -p.alpha * dvb[a].conj().T)
-    # interface: -p(0) conj(xi3(0))
-    A[ub_if[2], p_if] += -1.0
-    # BJS slip: -beta (v_j(0) - Dt u_j(0)) conj(xi_j(0)), j = 1, 2
-    for j in range(2):
-        A[ub_if[j], v_if[j]] += -p.beta
-        if not steady:
-            A[ub_if[j], ub_if[j]] += p.beta / dt
+    if const:
+        # interface: -p(0) conj(xi3(0))
+        put_point(ub_if[2], p_if, -1.0)
+        # BJS slip: -beta (v_j(0) - Dt u_j(0)) conj(xi_j(0)), j = 1, 2
+        for j in range(2):
+            put_point(ub_if[j], v_if[j], -p.beta)
+            if not steady:
+                put_point(ub_if[j], ub_if[j], p.beta / dt)
 
     # --- D-row: fluid content balance tested with q ---
-    darcy = p.k_perm * ((kap1**2 + kap2**2) * b["Mp"] + b["Kp"])
-    put("p", "p", darcy)
+    put("p", "p", p.k_perm * ((kap1**2 + kap2**2) * gb["Mp"] + gb["Kp"]))
     if not steady:
-        if p.c0 > 0:
+        if const and p.c0 > 0:
             put("p", "p", (p.c0 / dt) * b["Mp"])
         for a in range(3):
             put("p", f"u{a+1}", (p.alpha / dt) * dvb[a])
-    # interface: -(v3(0) - Dt u3(0)) conj(q(0))
-    A[p_if, v_if[2]] += -1.0
-    if not steady:
-        A[p_if, ub_if[2]] += 1.0 / dt
+    if const:
+        # interface: -(v3(0) - Dt u3(0)) conj(q(0))
+        put_point(p_if, v_if[2], -1.0)
+        if not steady:
+            put_point(p_if, ub_if[2], 1.0 / dt)
 
     # --- F-rows: Stokes momentum tested with zeta ---
-    aV = elastic_blocks(kap1, kap2, f["M"], f["K"], f["Ct"], p.nu, 0.0)
-    dvf = divergence_blocks(kap1, kap2, f["Mm"], f["Cm"])
+    aV = elastic_blocks(kap1, kap2, gf["M"], gf["K"], gf["Ct"], p.nu, 0.0)
+    dvf = divergence_blocks(kap1, kap2, gf["Mm"], gf["Cm"])
     for a in range(3):
         for c in range(3):
             put(f"v{a+1}", f"v{c+1}", aV[a, c])
-        if p.rho_f > 0 and not steady:
+        if const and p.rho_f > 0 and not steady:
             put(f"v{a+1}", f"v{a+1}", (p.rho_f / dt) * f["M"])
         put(f"v{a+1}", "pf", -dvf[a].conj().T)
-    # interface: +p(0) conj(zeta3(0))
-    A[v_if[2], p_if] += 1.0
-    # BJS slip: +beta (v_j(0) - Dt u_j(0)) conj(zeta_j(0))
-    for j in range(2):
-        A[v_if[j], v_if[j]] += p.beta
-        if not steady:
-            A[v_if[j], ub_if[j]] += -p.beta / dt
+    if const:
+        # interface: +p(0) conj(zeta3(0))
+        put_point(v_if[2], p_if, 1.0)
+        # BJS slip: +beta (v_j(0) - Dt u_j(0)) conj(zeta_j(0))
+        for j in range(2):
+            put_point(v_if[j], v_if[j], p.beta)
+            if not steady:
+                put_point(v_if[j], ub_if[j], -p.beta / dt)
 
     # --- C-row: incompressibility tested with q_f ---
     for a in range(3):
         put("pf", f"v{a+1}", dvf[a])
 
-    idx = lay.free_indices()
-    return A[np.ix_(idx, idx)], lay
+    return (np.concatenate(rows), np.concatenate(cols),
+            np.concatenate(vals).astype(complex))
+
+
+class StepCoefficients:
+    """The mode-independent part of the step matrix for one (params, meshes,
+    dt): the coefficients A_m of A(kap) = sum_m kap**m over MONOMIALS, on one
+    sparsity pattern over the free DOFs in Layout.free_indices order.
+
+    Each A_m comes from the forms evaluated at unit symbols with only the
+    vertical matrices of the monomial's degree kept, so the split is exact;
+    kap1*kap2 is the half-difference of two evaluations that agree on every
+    entry without that monomial.  The pattern fixes the half-bandwidths
+    kl, ku and, in CSR order, the LAPACK band position of every entry.
+    """
+
+    def __init__(self, p: PhysicalParams, mb: VerticalMesh, mf: VerticalMesh,
+                 dt: float, steady: bool = False):
+        if mb.box != "biot" or mf.box != "fluid":
+            raise MeshMismatch("expected (biot, fluid) mesh pair")
+        self.params = p
+        self.dt = dt
+        self.steady = steady
+        self.layout = lay = Layout(mb, mf)
+        n = lay.n_free
+        position = np.full(sum(lay.full_sizes), -1)
+        position[lay.free_indices()] = np.arange(n)
+
+        entries = []
+        for kap1, kap2, degree in _EVALUATIONS:
+            r, c, v = _step_entries(p, lay, dt, steady, kap1, kap2, degree)
+            r, c = position[r], position[c]
+            free = (r >= 0) & (c >= 0)
+            entries.append((r[free] * n + c[free], v[free]))
+        keys, slot = np.unique(np.concatenate([k for k, _ in entries]),
+                               return_inverse=True)
+        evals = np.zeros((len(entries), keys.size), dtype=complex)
+        start = 0
+        for row, (k, v) in zip(evals, entries):
+            np.add.at(row, slot[start:start + k.size], v)
+            start += k.size
+        coeffs = np.vstack([evals[:5], (evals[5] - evals[6]) / 2])
+        nonzero = np.any(coeffs != 0, axis=0)
+
+        self.values = coeffs[:, nonzero]          # (len(MONOMIALS), nnz)
+        rows, cols = np.divmod(keys[nonzero], n)  # row-major: CSR order
+        self.indices = cols.astype(np.int32)
+        self.indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+        self.kl = int((rows - cols).max())
+        self.ku = int((cols - rows).max())
+        # row of each entry in LAPACK band storage with kl rows of fill on top
+        self.band_rows = self.kl + self.ku + rows - cols
+
+
+def build_step_matrix(mode: ModeIndex, coeffs: StepCoefficients
+                      ) -> scipy.sparse.csr_matrix:
+    """The free-DOF system matrix of one implicit-Euler step for one mode, in
+    CSR form on the pattern of `coeffs` (rows and columns in
+    Layout.free_indices order)."""
+    kap1, kap2 = _symbols(mode)
+    weights = np.array([kap1**i * kap2**j for i, j in MONOMIALS])
+    n = coeffs.layout.n_free
+    return scipy.sparse.csr_matrix(
+        (weights @ coeffs.values, coeffs.indices, coeffs.indptr), shape=(n, n))
 
 
 def build_step_rhs(mode: ModeIndex, p: PhysicalParams, lay: Layout, dt: float,
@@ -309,55 +408,26 @@ def build_step_rhs(mode: ModeIndex, p: PhysicalParams, lay: Layout, dt: float,
     return rhs[lay.free_indices()]
 
 
-def assemble_step_system(mode: ModeIndex, p: PhysicalParams, mb: VerticalMesh,
-                         mf: VerticalMesh, dt: float, prior=None, sources=None,
-                         interface_data=None, steady: bool = False
-                         ) -> ModeBlockSystem:
-    """One-shot assembly of matrix and right-hand side for one mode step."""
-    if prior is not None:
-        un = prior[0]
-        if un.shape[-1] != mb.n_nodes(2):
-            raise MeshMismatch("prior state does not match the Biot mesh")
-    A, lay = build_step_matrix(mode, p, mb, mf, dt, steady=steady)
-    rhs = build_step_rhs(mode, p, lay, dt, prior=prior, sources=sources,
-                         interface_data=interface_data, steady=steady)
-    return ModeBlockSystem(mode=mode, dt=dt, layout=lay, matrix=A, rhs=rhs)
-
-
-def solve_step_system(s: ModeBlockSystem):
-    """Direct dense solve; returns (u, p, v, pf) full nodal arrays."""
-    x = _checked_solve(s.matrix, s.rhs, s.mode)
-    return s.layout.unpack(x)
-
-
-def _checked_solve(A, b, mode):
-    try:
-        x = scipy.linalg.solve(A, b)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSystem(mode, str(exc)) from None
-    nb = np.linalg.norm(b)
-    if nb == 0:
-        return np.zeros_like(b)
-    res = np.linalg.norm(A @ x - b) / nb
-    if not np.isfinite(res) or res > 1e-11:
-        raise SingularSystem(mode, f"relative residual {res:.3e}")
-    return x
-
-
 class ModeOperator:
-    """Cached LU factorization of one mode's step matrix (reused every step)."""
+    """One mode's step matrix, factored once in LAPACK band form (zgbtrf) and
+    reused every step.  Holds O(N) memory: the CSR matrix, which also serves
+    the residual check, and the band LU factors with their pivots."""
 
-    def __init__(self, mode, params, mb, mf, dt, steady=False):
+    def __init__(self, mode: ModeIndex, coeffs: StepCoefficients):
         self.mode = mode
-        self.params = params
-        self.dt = dt
-        self.steady = steady
-        A, self.layout = build_step_matrix(mode, params, mb, mf, dt, steady=steady)
-        self.matrix = A
-        try:
-            self.lu = scipy.linalg.lu_factor(A)
-        except scipy.linalg.LinAlgError as exc:
-            raise SingularSystem(mode, str(exc)) from None
+        self.params = coeffs.params
+        self.dt = coeffs.dt
+        self.steady = coeffs.steady
+        self.layout = coeffs.layout
+        self.kl, self.ku = coeffs.kl, coeffs.ku
+        self.matrix = build_step_matrix(mode, coeffs)
+        band = np.zeros((2 * self.kl + self.ku + 1, self.layout.n_free),
+                        dtype=complex, order="F")
+        band[coeffs.band_rows, coeffs.indices] = self.matrix.data
+        self.band_lu, self.piv, info = zgbtrf(band, self.kl, self.ku,
+                                              overwrite_ab=1)
+        if info != 0:
+            raise SingularSystem(mode, f"band LU failed (zgbtrf info {info})")
 
     def step(self, prior=None, sources=None, loads=None, interface_data=None):
         rhs = build_step_rhs(self.mode, self.params, self.layout, self.dt,
@@ -366,7 +436,7 @@ class ModeOperator:
         if not np.any(rhs):
             x = np.zeros_like(rhs)
         else:
-            x = scipy.linalg.lu_solve(self.lu, rhs)
+            x, _ = zgbtrs(self.band_lu, self.kl, self.ku, rhs, self.piv)
             res = np.linalg.norm(self.matrix @ x - rhs) / np.linalg.norm(rhs)
             if not np.isfinite(res) or res > 1e-11:
                 raise SingularSystem(self.mode, f"relative residual {res:.3e}")

@@ -109,6 +109,22 @@ def test_run_produces_expected_trajectory_shape():
     assert traj.times[-1] == pytest.approx(cfg.disc.t_end)
 
 
+def test_quasi_static_run_builds_one_simulator(monkeypatch):
+    # the degenerate regimes harvest the initial pressure and fluid state
+    # from a solve; run() lends initialize its Simulator for it
+    builds = []
+    build = Simulator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(self)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(Simulator, "__init__", counting_init)
+    cfg = make_config(params=make_params(rho_b=0.0, rho_f=0.0))
+    run(cfg, smooth_data(cfg, u0=True, d0=True))
+    assert len(builds) == 1
+
+
 def test_threaded_run_is_deterministic():
     cfg = make_config(n1=4, n2=8)
     data = smooth_data(cfg, u0=True, u1=True, d0=True, v0=True)

@@ -1,17 +1,20 @@
 """Per-mode assembly: block forms, layout bookkeeping, one-step solves, the
 generator, and the dense real-space oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
+import scipy.sparse
 
 from bsqs.config import Discretization, RunConfig
 from bsqs.errors import DegenerateParams, MeshMismatch, TooLarge
 from bsqs.fem1d import VerticalMesh
 from bsqs.integrator import Simulator, initialize, InitialData
-from bsqs.mode_assembly import (Layout, ModeOperator, assemble_generator,
-                                assemble_step_system, build_step_matrix,
+from bsqs.mode_assembly import (Layout, ModeOperator, StepCoefficients,
+                                assemble_generator, build_step_matrix,
                                 dense_real_space_oracle, divergence_blocks,
-                                elastic_blocks, solve_step_system, _mats)
+                                elastic_blocks, _mats)
 from bsqs.spectral import ModeIndex, forward_transform, inverse_transform
 from conftest import make_config, make_params, smooth_initial_callables
 
@@ -91,18 +94,21 @@ def test_layout_pack_unpack_round_trip(rng):
 
 def test_build_step_matrix_rejects_swapped_meshes():
     with pytest.raises(MeshMismatch):
-        build_step_matrix(ModeIndex(0, 0), make_params(), MF, MB, 0.1)
+        build_step_matrix(ModeIndex(0, 0),
+                          StepCoefficients(make_params(), MF, MB, 0.1))
 
 
 def test_zero_rhs_gives_zero_solution():
-    s = assemble_step_system(ModeIndex(1, 1), make_params(), MB, MF, 1 / 16)
-    u, p, v, pf = solve_step_system(s)
+    op = ModeOperator(ModeIndex(1, 1),
+                      StepCoefficients(make_params(), MB, MF, 1 / 16))
+    u, p, v, pf = op.step()
     assert np.abs(u).max() == 0 and np.abs(p).max() == 0
     assert np.abs(v).max() == 0 and np.abs(pf).max() == 0
 
 
 def test_step_is_linear_in_prior(rng):
-    op = ModeOperator(ModeIndex(1, -1), make_params(), MB, MF, 1 / 16)
+    op = ModeOperator(ModeIndex(1, -1),
+                      StepCoefficients(make_params(), MB, MF, 1 / 16))
 
     def rand_prior():
         u = rng.standard_normal((3, MB.n_nodes(2))) + 1j * rng.standard_normal(
@@ -124,12 +130,59 @@ def test_step_is_linear_in_prior(rng):
 
 def test_steady_matrix_drops_time_terms():
     p = make_params()
-    A_t, lay = build_step_matrix(ModeIndex(0, 0), p, MB, MF, 1 / 16)
-    A_s, _ = build_step_matrix(ModeIndex(0, 0), p, MB, MF, 1 / 16, steady=True)
+
+    def matrix(dt, steady):
+        coeffs = StepCoefficients(p, MB, MF, dt, steady=steady)
+        return build_step_matrix(ModeIndex(0, 0), coeffs).toarray()
+
+    A_t = matrix(1 / 16, steady=False)
+    A_s = matrix(1 / 16, steady=True)
     assert not np.allclose(A_t, A_s)
     # the steady matrix is dt-independent
-    A_s2, _ = build_step_matrix(ModeIndex(0, 0), p, MB, MF, 1 / 32, steady=True)
+    A_s2 = matrix(1 / 32, steady=True)
     assert np.allclose(A_s, A_s2)
+
+
+BAND_GRIDS = [(2, 2), (4, 4), (4, 8), (8, 4), (16, 16), (32, 32), (64, 64),
+              (16, 64)]
+
+
+def test_step_matrix_band_is_mesh_independent():
+    # node-interleaved ordering: the half-bandwidths come from the sparsity
+    # pattern and stay at one element's couplings whatever the mesh
+    bands = set()
+    for nb, nf in BAND_GRIDS:
+        coeffs = StepCoefficients(make_params(), VerticalMesh("biot", nb),
+                                  VerticalMesh("fluid", nf), 1 / 16)
+        A = build_step_matrix(ModeIndex(1, -2), coeffs)
+        rows, cols = A.nonzero()
+        assert (coeffs.kl, coeffs.ku) == ((rows - cols).max(),
+                                          (cols - rows).max())
+        bands.add((coeffs.kl, coeffs.ku))
+    assert len(bands) == 1
+    kl, ku = bands.pop()
+    assert kl <= 9 and ku <= 9
+
+
+def _held_bytes(obj):
+    """Bytes of the arrays an object holds directly, dense or sparse."""
+    total = 0
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            total += value.nbytes
+        elif scipy.sparse.issparse(value):
+            total += sum(getattr(value, a).nbytes
+                         for a in ("data", "indices", "indptr"))
+    return total
+
+
+def test_mode_operator_memory_is_linear_in_unknowns():
+    mb, mf = VerticalMesh("biot", 64), VerticalMesh("fluid", 64)
+    op = ModeOperator(ModeIndex(3, -5),
+                      StepCoefficients(make_params(), mb, mf, 1 / 16))
+    n = Layout(mb, mf).n_free
+    # a dense matrix plus dense LU would hold 2 * 16 * n**2 bytes (25 MB)
+    assert _held_bytes(op) < 1024 * n
 
 
 # --- generator ------------------------------------------------------------
@@ -184,11 +237,18 @@ def _pipeline_step(cfg, u, w, p, v):
     return sim.step(s)
 
 
-@pytest.mark.parametrize("regime", [
-    {},                                                   # full physics
-    {"rho_b": 0.0, "rho_f": 0.0},                         # quasi-static
-    {"rho_b": 0.0, "rho_f": 0.0, "delta": 0.0, "c0": 0.0},  # fully degenerate
-])
+# every zero/nonzero pattern of (rho_b, rho_f, delta, c0); the first three
+# are full physics, quasi-static and fully degenerate
+DEGENERATE = ("rho_b", "rho_f", "delta", "c0")
+REGIMES = [{}, {"rho_b": 0.0, "rho_f": 0.0},
+           {"rho_b": 0.0, "rho_f": 0.0, "delta": 0.0, "c0": 0.0}]
+REGIMES += [r for r in ({k: 0.0 for k, z in zip(DEGENERATE, zeros) if z}
+                        for zeros in itertools.product((False, True),
+                                                       repeat=4))
+            if r not in REGIMES]
+
+
+@pytest.mark.parametrize("regime", REGIMES)
 def test_oracle_matches_pipeline(rng, regime):
     cfg = make_config(params=make_params(**regime), n1=4, n2=4, nb=4, nf=4)
     u, w, p, v = _real_space_prior(cfg, rng)
