@@ -30,7 +30,6 @@ def _build_parser():
             sp.add_argument("--config", required=True)
         sp.add_argument("--out", required=True)
         sp.add_argument("--threads", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--quiet", action="store_true")
     return p
 

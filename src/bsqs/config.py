@@ -19,23 +19,6 @@ from .exprs import Expression
 # below, flat interface at x3 = 0, lateral periodicity in x1 and x2.
 BIOT_X3 = (0.0, 1.0)
 FLUID_X3 = (-1.0, 0.0)
-INTERFACE_X3 = 0.0
-
-
-@dataclass(frozen=True)
-class DomainSpec:
-    """Immutable description of the two boxes and their shared interface."""
-
-    biot_x3: tuple = BIOT_X3
-    fluid_x3: tuple = FLUID_X3
-    interface_x3: float = INTERFACE_X3
-    laterally_periodic: bool = True
-    # fluid-outward unit normal at the interface and the fixed tangent frame
-    normal: tuple = (0.0, 0.0, 1.0)
-    tangents: tuple = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-
-
-DOMAIN = DomainSpec()
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ conjugate partner is not stored.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -16,62 +17,60 @@ import scipy.linalg
 from .config import PhysicalParams, SourceSpec
 from .errors import BalanceViolation
 from .fem1d import evaluate_derivative, mass
-from .mode_assembly import _mats, divergence_blocks, elastic_blocks
-from .spectral import (SpectralField, mode_table, parseval_weights_grid,
-                       lateral_l2_norm_sq)
+from .mode_assembly import (MONOMIALS, _mats, divergence_blocks,
+                            elastic_split, monomial_weights)
+from .spectral import (SpectralField, lateral_l2_norm_sq, mode_table,
+                       mode_weights, parseval_weights_grid)
 
 TWO_PI = 2.0 * np.pi
 
+# columns of the monomials kap1, kap2, kap1^2, kap2^2 in _mode_monomials
+_K1, _K2, _K11, _K22 = (MONOMIALS.index(m)
+                        for m in ((1, 0), (0, 1), (2, 0), (0, 2)))
 
-def _mode_quadratic(fld: SpectralField, form):
-    """Sum over modes of weight * profile^H form(mode) profile, where form
-    maps a ModeIndex to a (3x3 object grid | matrix) on the nodal profiles."""
+
+@lru_cache(maxsize=None)
+def _mode_monomials(n1: int, n2: int) -> np.ndarray:
+    """kap**m of every stored mode (rows, storage order) and monomial
+    (columns, MONOMIALS order)."""
+    kap = TWO_PI * np.array(mode_table(n1, n2), dtype=float)
+    powers = monomial_weights(kap[:, 0], kap[:, 1])
+    powers.setflags(write=False)
+    return powers
+
+
+def _parseval_form(fld: SpectralField, terms) -> float:
+    """Sum over stored modes of weight * Re(profile^H A(kap) profile) for
+    A(kap) = sum over terms (c, A) of c * A, where A is a mode-independent
+    matrix on the component-major profile and c its per-mode (or constant)
+    coefficient: one product per term with the (ncomp * nn, modes) profile
+    matrix."""
     n1, n2 = fld.lateral_shape
-    w = parseval_weights_grid(n1, n2)
-    total = 0.0
-    for idx, m in enumerate(mode_table(n1, n2)):
-        k1i, j = divmod(idx, n2)
-        A = form(m)
-        prof = fld.data[k1i, j]
-        if isinstance(A, np.ndarray) and A.dtype == object:
-            val = sum(np.vdot(prof[a], A[a, c] @ prof[c])
-                      for a in range(3) for c in range(3))
-        else:
-            val = np.vdot(prof[0], A @ prof[0]) if prof.shape[0] == 1 \
-                else sum(np.vdot(prof[a], A @ prof[a])
-                         for a in range(prof.shape[0]))
-        total += w[k1i, 0] * val.real
-    return float(total)
+    P = fld.data.reshape(-1, fld.data[0, 0].size).T
+    quad = sum(c * np.einsum("im,im->m", P.conj(), A @ P).real
+               for c, A in terms)
+    return float(np.repeat(mode_weights(n1, n2), n2) @ quad)
 
 
 def elastic_norm_sq(u: SpectralField, p: PhysicalParams) -> float:
-    """a_E(u, u) = 2 mu ||D(u)||^2 + lam ||div u||^2 via per-mode forms."""
-    mats = _mats(u.mesh)
-
-    def form(m):
-        return elastic_blocks(TWO_PI * m.k1, TWO_PI * m.k2, mats["M"],
-                              mats["K"], mats["Ct"], p.mu, p.lam)
-    return _mode_quadratic(u, form)
+    """a_E(u, u) = 2 mu ||D(u)||^2 + lam ||div u||^2 over all modes at once,
+    from the monomial split of the form."""
+    return _parseval_form(u, zip(_mode_monomials(*u.lateral_shape).T,
+                                 elastic_split(u.mesh, p.mu, p.lam)))
 
 
 def viscous_norm_sq(v: SpectralField, nu: float) -> float:
     """2 nu ||D(v)||^2 (the Stokes dissipation quadratic form)."""
-    mats = _mats(v.mesh)
-
-    def form(m):
-        return elastic_blocks(TWO_PI * m.k1, TWO_PI * m.k2, mats["M"],
-                              mats["K"], mats["Ct"], nu, 0.0)
-    return _mode_quadratic(v, form)
+    return _parseval_form(v, zip(_mode_monomials(*v.lateral_shape).T,
+                                 elastic_split(v.mesh, nu, 0.0)))
 
 
 def grad_norm_sq(p_b: SpectralField) -> float:
     """||grad p||^2 with lateral symbols: sum kappa^2 |p|^2 + |p'|^2."""
     mats = _mats(p_b.mesh)
-
-    def form(m):
-        kap2 = (TWO_PI * m.k1) ** 2 + (TWO_PI * m.k2) ** 2
-        return kap2 * mats["Mp"] + mats["Kp"]
-    return _mode_quadratic(p_b, form)
+    powers = _mode_monomials(*p_b.lateral_shape)
+    kap_sq = powers[:, _K11] + powers[:, _K22]
+    return _parseval_form(p_b, ((1.0, mats["Kp"]), (kap_sq, mats["Mp"])))
 
 
 def l2_norm_sq(fld: SpectralField) -> float:
@@ -239,7 +238,11 @@ def _source_work(prev, s, p, sources, dt):
 def _dual_source_quadrature(traj, p, sources, dt):
     """Time quadrature of the source norms entering the a-priori bound:
     ||F_b||_{L2}^2 plus discrete dual norms of S (against the Darcy form) and
-    F_f (against the viscous form on the divergence-free subspace)."""
+    F_f (against the viscous form on the divergence-free subspace).
+
+    The dual norms need a per-mode Gram matrix and, for F_f, a basis of the
+    divergence-free subspace; both depend only on the mode, so each mode's
+    setup is done once and applied to the loads of every step at once."""
     from .spectral import forward_transform, sample_function
 
     s0 = traj.states[0]
@@ -247,12 +250,10 @@ def _dual_source_quadrature(traj, p, sources, dt):
     mb, mf = s0.u.mesh, s0.v.mesh
     bm = _mats(mb)
     fm = _mats(mf)
-    w = parseval_weights_grid(n1, n2)
-    pmask = mb.free_mask(1)
-    pidx = np.flatnonzero(pmask)
-    vmask = mf.free_mask(2)
-    vidx = np.flatnonzero(vmask)
+    w = np.repeat(mode_weights(n1, n2), n2)
+    powers = _mode_monomials(n1, n2)
     total = 0.0
+    S_loads, Ff_loads = [], []
     for s in traj.states[1:]:
         t = s.t
         if any(c is not None for c in sources.F_b):
@@ -261,35 +262,46 @@ def _dual_source_quadrature(traj, p, sources, dt):
             total += dt * lateral_l2_norm_sq(F, bm["M"])
         if sources.S is not None:
             samp = sample_function(sources.S, n1, n2, mb, 1, t=t)
-            F = forward_transform(samp, mb, 1)
-            for idx, m in enumerate(mode_table(n1, n2)):
-                k1i, j = divmod(idx, n2)
-                kap2 = (TWO_PI * m.k1) ** 2 + (TWO_PI * m.k2) ** 2
-                G = (kap2 * bm["Mp"] + bm["Kp"])[np.ix_(pidx, pidx)]
-                load = (bm["Mp"] @ F.data[k1i, j, 0])[pidx]
-                total += dt * w[k1i, 0] * np.vdot(
-                    load, np.linalg.solve(G, load)).real
+            S_loads.append(forward_transform(samp, mb, 1).data @ bm["Mp"])
         if any(c is not None for c in sources.F_f):
             samp = sample_function(sources.F_f, n1, n2, mf, 2, t=t)
-            F = forward_transform(samp, mf, 2)
-            for idx, m in enumerate(mode_table(n1, n2)):
-                k1i, j = divmod(idx, n2)
-                kap1, kap2s = TWO_PI * m.k1, TWO_PI * m.k2
-                aV = elastic_blocks(kap1, kap2s, fm["M"], fm["K"], fm["Ct"],
-                                    p.nu, 0.0)
-                AV = np.block([[np.asarray(aV[a][c], dtype=complex)
-                                [np.ix_(vidx, vidx)] for c in range(3)]
-                               for a in range(3)])
-                dv = divergence_blocks(kap1, kap2s, fm["Mm"], fm["Cm"])
-                DivF = np.hstack([np.asarray(dd, dtype=complex)[:, vidx]
-                                  for dd in dv])
-                Z = scipy.linalg.null_space(DivF)
-                load = np.concatenate(
-                    [(fm["M"] @ F.data[k1i, j, a])[vidx] for a in range(3)])
-                zl = Z.conj().T @ load
-                Gz = Z.conj().T @ AV @ Z
-                total += dt * w[k1i, 0] * np.vdot(
-                    zl, np.linalg.solve(Gz, zl)).real
+            Ff_loads.append(forward_transform(samp, mf, 2).data @ fm["M"])
+
+    def dual_sum(loads, free, setup):
+        """dt * sum over modes and steps of w * load^H G^{-1} load on the
+        free DOFs, with (basis, G) = setup(mode index) (basis None: all)."""
+        L = np.stack(loads, axis=-1).reshape(len(w), -1, len(loads))[:, free]
+        out = 0.0
+        for idx, load in enumerate(L):
+            Z, G = setup(idx)
+            zl = load if Z is None else Z.conj().T @ load
+            out += w[idx] * np.einsum("is,is->", zl.conj(),
+                                      np.linalg.solve(G, zl)).real
+        return dt * out
+
+    if S_loads:
+        pidx = np.flatnonzero(mb.free_mask(1))
+        Kp = bm["Kp"][np.ix_(pidx, pidx)]
+        Mp = bm["Mp"][np.ix_(pidx, pidx)]
+        kap_sq = powers[:, _K11] + powers[:, _K22]
+        total += dual_sum(S_loads, pidx,
+                          lambda idx: (None, kap_sq[idx] * Mp + Kp))
+    if Ff_loads:
+        nn = mf.n_nodes(2)
+        vidx = np.flatnonzero(mf.free_mask(2))
+        free = np.concatenate([a * nn + vidx for a in range(3)])
+        split = [A[free][:, free] for A in elastic_split(mf, p.nu, 0.0)]
+
+        def viscous_setup(idx):
+            AV = sum(c * A for c, A in zip(powers[idx], split)).toarray()
+            dv = divergence_blocks(powers[idx, _K1], powers[idx, _K2],
+                                   fm["Mm"], fm["Cm"])
+            DivF = np.hstack([np.asarray(dd, dtype=complex)[:, vidx]
+                              for dd in dv])
+            Z = scipy.linalg.null_space(DivF)
+            return Z, Z.conj().T @ AV @ Z
+
+        total += dual_sum(Ff_loads, free, viscous_setup)
     return total
 
 

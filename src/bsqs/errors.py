@@ -40,14 +40,6 @@ class MeshMismatch(BsqsError):
     code = "MESH_MISMATCH"
 
 
-class ModeMismatch(BsqsError):
-    code = "MODE_MISMATCH"
-
-
-class NoInterfaceNode(BsqsError):
-    code = "NO_INTERFACE_NODE"
-
-
 class SingularSystem(BsqsError):
     code = "SINGULAR_SYSTEM"
 

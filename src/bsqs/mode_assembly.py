@@ -168,6 +168,51 @@ _EVALUATIONS = ((0.0, 0.0, 0), (1.0, 0.0, 1), (0.0, 1.0, 1), (1.0, 0.0, 2),
                 (0.0, 1.0, 2), (1.0, 1.0, 2), (1.0, -1.0, 2))
 
 
+def monomial_weights(kap1, kap2):
+    """kap1**i * kap2**j for each (i, j) in MONOMIALS, stacked on a new last
+    axis; kap1 and kap2 may be scalars or arrays of symbols."""
+    return np.stack([kap1**i * kap2**j for i, j in MONOMIALS], axis=-1)
+
+
+def _graded(mats, degree):
+    """The vertical matrices that carry `degree` powers of the symbols, with
+    every other one replaced by zeros."""
+    return {k: m if _SYMBOL_DEGREE[k] == degree else np.zeros_like(m)
+            for k, m in mats.items()}
+
+
+@lru_cache(maxsize=None)
+def elastic_split(mesh: VerticalMesh, mu: float, lam: float):
+    """The coefficients A_m of the elastic block grid, A(kap) = sum over
+    MONOMIALS of kap1**m[0] * kap2**m[1] * A_m, as sparse CSR matrices on the
+    component-major (3 * n_nodes) profile of a P2 vector field.
+
+    Each A_m is elastic_blocks at unit symbols with only the vertical
+    matrices of the monomial's degree kept, so the split is exact;
+    kap1*kap2 is the half-difference of the (1, 1) and (1, -1) evaluations.
+    The result is shared; do not modify it."""
+    mats = _mats(mesh)
+    nn = mats["M"].shape[0]
+    # every block is a combination of M, K, Ct and Ct^T: one band pattern
+    i, j = np.nonzero((mats["M"] != 0) | (mats["K"] != 0)
+                      | (mats["Ct"] != 0) | (mats["Ct"].T != 0))
+    grid = [(a, c) for a in range(3) for c in range(3)]
+    rows = np.concatenate([a * nn + i for a, _ in grid])
+    cols = np.concatenate([c * nn + j for _, c in grid])
+    evals = []
+    for kap1, kap2, degree in _EVALUATIONS:
+        g = _graded(mats, degree)
+        B = elastic_blocks(kap1, kap2, g["M"], g["K"], g["Ct"], mu, lam)
+        evals.append(np.concatenate([B[a, c][i, j] for a, c in grid]))
+    split = []
+    for values in evals[:5] + [(evals[5] - evals[6]) / 2]:
+        keep = values != 0
+        split.append(scipy.sparse.csr_matrix(
+            (values[keep], (rows[keep], cols[keep])), shape=(3 * nn, 3 * nn),
+            dtype=complex))
+    return tuple(split)
+
+
 def _step_entries(p, lay, dt, steady, kap1, kap2, degree):
     """Entries (full-vector rows, cols, values) of the step matrix at the
     symbols (kap1, kap2), keeping only the terms that carry `degree` powers
@@ -176,12 +221,7 @@ def _step_entries(p, lay, dt, steady, kap1, kap2, degree):
     couplings) enter with degree 0."""
     mb, mf = lay.mb, lay.mf
     b, f = _mats(mb), _mats(mf)
-
-    def graded(mats):
-        return {k: m if _SYMBOL_DEGREE[k] == degree else np.zeros_like(m)
-                for k, m in mats.items()}
-
-    gb, gf = graded(b), graded(f)
+    gb, gf = _graded(b, degree), _graded(f, degree)
     const = degree == 0
     offs = lay.full_offsets()
     rows, cols, vals = [], [], []
@@ -316,8 +356,7 @@ def build_step_matrix(mode: ModeIndex, coeffs: StepCoefficients
     """The free-DOF system matrix of one implicit-Euler step for one mode, in
     CSR form on the pattern of `coeffs` (rows and columns in
     Layout.free_indices order)."""
-    kap1, kap2 = _symbols(mode)
-    weights = np.array([kap1**i * kap2**j for i, j in MONOMIALS])
+    weights = monomial_weights(*_symbols(mode))
     n = coeffs.layout.n_free
     return scipy.sparse.csr_matrix(
         (weights @ coeffs.values, coeffs.indices, coeffs.indptr), shape=(n, n))
@@ -370,14 +409,17 @@ def build_step_rhs(mode: ModeIndex, p: PhysicalParams, lay: Layout, dt: float,
 
     if prior is not None and not steady:
         un, wn, pn, vn = prior
-        aE = elastic_blocks(kap1, kap2, b["M"], b["K"], b["Ct"], p.mu, p.lam)
-        for a in range(3):
-            sl = slice(offs[a], offs[a] + lay.full_sizes[a])
-            if p.rho_b > 0:
+        if p.rho_b > 0:
+            for a in range(3):
+                sl = slice(offs[a], offs[a] + lay.full_sizes[a])
                 rhs[sl] += (p.rho_b / dt**2) * (b["M"] @ (un[a] + dt * wn[a]))
-            if p.delta > 0:
-                for c in range(3):
-                    rhs[sl] += (p.delta / dt) * (aE[a, c] @ un[c])
+        if p.delta > 0:
+            # (delta/dt) a_E(u^n, xi) over the contiguous u1, u2, u3 slots
+            u_flat = np.ravel(un)
+            aE_un = sum(c * (A @ u_flat) for c, A in zip(
+                monomial_weights(kap1, kap2),
+                elastic_split(mb, p.mu, p.lam)))
+            rhs[offs[0]:offs[3]] += (p.delta / dt) * aE_un
         sl = slice(offs[3], offs[3] + lay.full_sizes[3])
         if p.c0 > 0:
             rhs[sl] += (p.c0 / dt) * (b["Mp"] @ pn)

@@ -130,6 +130,12 @@ def test_bad_usage_exit_code():
     assert main(["--help"]) == 0
 
 
+def test_seed_flag_is_usage_error(config_file, tmp_path):
+    rc = main(["run", "--config", str(config_file),
+               "--out", str(tmp_path / "o"), "--seed", "3", "--quiet"])
+    assert rc == 1
+
+
 def test_verify_command(tmp_path):
     out = tmp_path / "out"
     rc = main(["verify", "--out", str(out), "--quiet"])

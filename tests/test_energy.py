@@ -9,7 +9,9 @@ from bsqs.config import SourceSpec
 from bsqs.errors import BalanceViolation
 from bsqs.fem1d import VerticalMesh
 from bsqs.integrator import InitialData, initialize, run
-from bsqs.spectral import forward_transform, zero_field
+from bsqs.mode_assembly import _mats, elastic_blocks
+from bsqs.spectral import (SpectralField, forward_transform, mode_table,
+                           mode_weights, zero_field)
 from conftest import make_config, make_params, smooth_initial_callables
 
 
@@ -74,6 +76,57 @@ def test_l2_norm_frozen_value():
     assert en.l2_norm(p) == pytest.approx(1.0)
 
 
+def per_mode_form(fld, form):
+    """Parseval sum of weight * Re(profile^H form(kap1, kap2) profile), one
+    stored mode at a time, with form a dense component-major matrix."""
+    n1, n2 = fld.lateral_shape
+    w = mode_weights(n1, n2)
+    total = 0.0
+    for idx, m in enumerate(mode_table(n1, n2)):
+        k1i, j = divmod(idx, n2)
+        prof = fld.data[k1i, j].ravel()
+        A = form(2 * np.pi * m.k1, 2 * np.pi * m.k2)
+        total += w[k1i] * np.vdot(prof, A @ prof).real
+    return total
+
+
+def elastic_form(mesh, mu, lam):
+    m = _mats(mesh)
+
+    def form(kap1, kap2):
+        B = elastic_blocks(kap1, kap2, m["M"], m["K"], m["Ct"], mu, lam)
+        return np.block([[np.asarray(B[a, c], dtype=complex)
+                          for c in range(3)] for a in range(3)])
+    return form
+
+
+def random_field(rng, mesh, degree, n1, n2, ncomp):
+    """Random complex coefficients in every stored mode, Nyquist included
+    (not Hermitian on the self-conjugate columns)."""
+    shape = (n1 // 2 + 1, n2, ncomp, mesh.n_nodes(degree))
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return SpectralField(mesh, degree, data)
+
+
+@pytest.mark.parametrize("n1, n2, nb, nf", [(4, 4, 8, 8), (6, 4, 4, 8),
+                                            (8, 8, 16, 16)])
+def test_norms_match_per_mode_block_forms(rng, n1, n2, nb, nf):
+    mb, mf = VerticalMesh("biot", nb), VerticalMesh("fluid", nf)
+    p = make_params(mu=1.3, lam=0.7)
+    u = random_field(rng, mb, 2, n1, n2, 3)
+    v = random_field(rng, mf, 2, n1, n2, 3)
+    pb = random_field(rng, mb, 1, n1, n2, 1)
+    mats = _mats(mb)
+    cases = [
+        (en.elastic_norm_sq(u, p), per_mode_form(u, elastic_form(mb, 1.3, 0.7))),
+        (en.viscous_norm_sq(v, 0.4), per_mode_form(v, elastic_form(mf, 0.4, 0.0))),
+        (en.grad_norm_sq(pb), per_mode_form(
+            pb, lambda k1, k2: (k1**2 + k2**2) * mats["Mp"] + mats["Kp"])),
+    ]
+    for fast, slow in cases:
+        assert fast == pytest.approx(slow, rel=1e-13, abs=0.0)
+
+
 REGIMES_16 = [dict(zip(("rho_b", "rho_f", "delta", "c0"),
                        (rb, rf, de, c0)))
               for rb in (0.0, 1.0) for rf in (0.0, 0.5)
@@ -117,6 +170,34 @@ def test_driven_audit_reports_finite_constant():
     assert rep.driven_constant >= 0.0
     # a driven run from rest gains energy yet stays within the dual bound
     assert max(rep.e) > 0.0
+
+
+_DRIVEN_SOURCES = {
+    "F_b": SourceSpec(F_b=(None, None, lambda x1, x2, x3, t: np.sin(
+        2 * np.pi * x1) * (1 - x3) * np.cos(t))),
+    "F_b, S, F_f": SourceSpec(
+        F_b=(None, None, lambda x1, x2, x3, t: np.sin(2 * np.pi * x1)
+             * (1 - x3) * np.cos(t)),
+        S=lambda x1, x2, x3, t: np.cos(2 * np.pi * x2) * (1 - x3) * x3
+        * (1 + t),
+        F_f=(lambda x1, x2, x3, t: np.cos(2 * np.pi * (x1 + x2)) * (1 + x3)
+             * np.sin(t + 1), None, None)),
+}
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("F_b", 0.03129031033086524),
+    ("F_b, S, F_f", 0.03873156583150942),
+])
+def test_driven_constant_matches_recorded_value(name, expected):
+    """The driven constant of make_config() under these sources, recorded
+    from the implementation that rebuilt every mode's dual-norm Gram matrix
+    (and, for F_f, its divergence-free basis) at every step.  The first
+    source set is the one of test_driven_audit_reports_finite_constant."""
+    from dataclasses import replace
+    cfg = replace(make_config(), sources=_DRIVEN_SOURCES[name])
+    rep = en.audit(run(cfg, InitialData()), cfg.params, cfg.sources)
+    assert rep.driven_constant == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_breakdown_keys_and_lengths():

@@ -14,7 +14,8 @@ from bsqs.integrator import Simulator, initialize, InitialData
 from bsqs.mode_assembly import (Layout, ModeOperator, StepCoefficients,
                                 assemble_generator, build_step_matrix,
                                 dense_real_space_oracle, divergence_blocks,
-                                elastic_blocks, _mats)
+                                elastic_blocks, elastic_split,
+                                monomial_weights, _mats)
 from bsqs.spectral import ModeIndex, forward_transform, inverse_transform
 from conftest import make_config, make_params, smooth_initial_callables
 
@@ -57,6 +58,38 @@ def test_viscous_form_is_elastic_form_with_zero_lambda():
     prof[2] = (1.0 + MF.nodes(2)) ** 2
     # (2 mu + 0) * int(v3'^2) = 2 * 0.7 * 4/3
     assert quad_form(B, prof) == pytest.approx(2 * 0.7 * 4.0 / 3.0)
+
+
+def block_matrix(blocks):
+    """A 3x3 object grid as one dense component-major matrix."""
+    return np.block([[np.asarray(blocks[a, c], dtype=complex)
+                      for c in range(3)] for a in range(3)])
+
+
+@pytest.mark.parametrize("box, mu, lam", [("biot", 1.3, 0.7),
+                                          ("fluid", 0.9, 0.0)])
+def test_elastic_split_reproduces_block_grid(rng, box, mu, lam):
+    """sum_m kap**m A_m equals elastic_blocks at random symbols, for the
+    elastic (mu, lam) and the viscous (nu, 0) form."""
+    mesh = VerticalMesh(box, 8)
+    m = _mats(mesh)
+    split = elastic_split(mesh, mu, lam)
+    for kap1, kap2 in 2 * np.pi * rng.uniform(-8.0, 8.0, (6, 2)):
+        dense = block_matrix(elastic_blocks(kap1, kap2, m["M"], m["K"],
+                                            m["Ct"], mu, lam))
+        combined = sum(c * A for c, A in
+                       zip(monomial_weights(kap1, kap2), split)).toarray()
+        assert np.abs(combined - dense).max() <= 1e-14 * np.abs(dense).max()
+
+
+def test_elastic_split_is_sparse():
+    """The six coefficients hold O(nn) entries: 15 nonzero (nn x nn) blocks
+    between them, each a P2 matrix with at most 5 entries per row."""
+    mesh = VerticalMesh("biot", 64)
+    nn = mesh.n_nodes(2)
+    split = elastic_split(mesh, 1.0, 1.0)
+    assert all(scipy.sparse.issparse(A) for A in split)
+    assert sum(A.nnz for A in split) <= 15 * 5 * nn
 
 
 def test_divergence_blocks_pair_constant_divergence():
