@@ -29,16 +29,10 @@ def _build_parser():
         if name in ("run", "sweep", "audit"):
             sp.add_argument("--config", required=True)
         sp.add_argument("--out", required=True)
-        sp.add_argument("--threads", type=int, default=None)
+        sp.add_argument("--threads", type=int, default=None,
+                        help="accepted for compatibility; has no effect")
         sp.add_argument("--quiet", action="store_true")
     return p
-
-
-def _threads(args):
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("BSQS_THREADS", "")
-    return max(1, int(env)) if env.isdigit() else 1
 
 
 def _load_config(path):
@@ -57,7 +51,7 @@ def _cmd_run(args):
     cfg = _load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
     data = InitialData.from_plan(cfg)
-    traj = run(cfg, data, threads=_threads(args))
+    traj = run(cfg, data)
     rep = en.audit(traj, cfg.params, cfg.sources)
     snapshots.write_timeseries(snapshots.energy_report_columns(rep),
                                os.path.join(args.out, "energy.csv"))
@@ -80,7 +74,7 @@ def _cmd_sweep(args):
     data = InitialData.from_plan(cfg)
     spec = SweepSpec(base=cfg, param=plan.sweep_param,
                      values=plan.sweep_values, data=data)
-    rep = run_sweep(spec, threads=_threads(args))
+    rep = run_sweep(spec)
     snapshots.write_timeseries(snapshots.distance_report_columns(rep),
                                os.path.join(args.out, "sweep.csv"))
     try:
@@ -124,7 +118,7 @@ def _cmd_audit(args):
     cfg = _load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
     data = InitialData.from_plan(cfg)
-    traj = run(cfg, data, threads=_threads(args))
+    traj = run(cfg, data)
     rep = en.audit(traj, cfg.params, cfg.sources)
     snapshots.write_timeseries(snapshots.energy_report_columns(rep),
                                os.path.join(args.out, "energy.csv"))

@@ -8,7 +8,6 @@ solved as such with no regularization.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,11 +16,10 @@ from .config import RunConfig, SourceSpec
 from .errors import (GridMismatch, IncompatibleData, NotDivergenceFree,
                      Violation)
 from .fem1d import VerticalMesh, mass, mixed_div, mixed_mass
-from .mode_assembly import ModeOperator, StepCoefficients, divergence_blocks
-from .spectral import (ModeIndex, SpectralField, forward_transform,
-                       mode_table, sample_function, signed_k2, zero_field)
-
-TWO_PI = 2.0 * np.pi
+from .mode_assembly import (ModeOperator, StepCoefficients, build_step_rhs,
+                            divergence_modes, mode_symbols)
+from .spectral import (SpectralField, forward_transform, mode_table,
+                       sample_function, zero_field)
 
 
 @dataclass
@@ -90,7 +88,6 @@ class Trajectory:
     # per-step diagnostics, populated by run(): entry n covers step n-1 -> n
     energies: list = field(default_factory=list)
     dissipation: list = field(default_factory=list)
-    slip_norms: list = field(default_factory=list)
 
     @property
     def times(self):
@@ -108,32 +105,39 @@ def _zero_state(cfg: RunConfig, t=0.0) -> State:
                  zero_field(mf, 1, d.n1, d.n2, 1))
 
 
+def _by_mode(fld: SpectralField | None):
+    """Mode-major view (modes, ncomp, n_nodes) of a field's coefficients, in
+    mode_table order; None stays None."""
+    return None if fld is None else fld.data.reshape(-1, *fld.data.shape[2:])
+
+
 def _divergence_residual(v: SpectralField) -> float:
     """Max per-mode weak divergence residual of a fluid velocity field."""
-    mesh = v.mesh
-    Mm, Cm = mixed_mass(mesh), mixed_div(mesh)
-    n1, n2 = v.lateral_shape
-    worst = 0.0
-    for idx, m in enumerate(mode_table(n1, n2)):
-        k1i, j = divmod(idx, n2)
-        blocks = divergence_blocks(TWO_PI * m.k1, TWO_PI * m.k2, Mm, Cm)
-        r = sum(blocks[a] @ v.data[k1i, j, a] for a in range(3))
-        worst = max(worst, float(np.abs(r).max()))
-    return worst
+    kap1, kap2 = mode_symbols(mode_table(*v.lateral_shape))
+    r = divergence_modes(kap1, kap2, _by_mode(v), mixed_mass(v.mesh),
+                         mixed_div(v.mesh))
+    return float(np.abs(r).max())
 
 
 class Simulator:
-    """Owns the per-mode band LU factorizations for one (params, grid, dt)."""
+    """Owns the per-mode band LU factorizations for one (params, grid, dt)
+    and advances all modes of a step at once.
+
+    `threads` is accepted for compatibility and ignored: a step is a few
+    array products over all modes plus one band solve per mode with a
+    nonzero right-hand side, which leaves no per-mode work to spread."""
 
     def __init__(self, cfg: RunConfig, steady: bool = False, threads: int = 1):
         cfg.disc.validate()
         self.cfg = cfg
+        self.steady = steady
         self.mb = VerticalMesh("biot", cfg.disc.nb)
         self.mf = VerticalMesh("fluid", cfg.disc.nf)
-        self.threads = max(1, threads)
         self.modes = mode_table(cfg.disc.n1, cfg.disc.n2)
+        self.kap1, self.kap2 = mode_symbols(self.modes)
         coeffs = StepCoefficients(cfg.params, self.mb, self.mf, cfg.disc.dt,
                                   steady=steady)
+        self.layout = coeffs.layout
         self.ops = [ModeOperator(m, coeffs) for m in self.modes]
 
     def _sample_sources(self, t: float):
@@ -161,53 +165,46 @@ class Simulator:
         g1 (n1h, n2), g2 (2, n1h, n2), g3 (3, n1h, n2), g4 (n1h, n2)."""
         cfg = self.cfg
         d = cfg.disc
-        n2 = d.n2
-        out = _zero_state(cfg, t=s.t + d.dt)
+        n_modes = len(self.ops)
 
-        def solve_one(idx):
-            op = self.ops[idx]
-            k1i, j = divmod(idx, n2)
-            wprof = None if s.w is None else s.w.data[k1i, j]
-            if wprof is None:
-                wprof = np.zeros_like(s.u.data[k1i, j])
-            prior = (s.u.data[k1i, j], wprof, s.p_b.data[k1i, j, 0],
-                     s.v.data[k1i, j])
-            srcs = None
-            if mode_sources is not None:
-                Fb, S, Ff = mode_sources
-                srcs = (None if Fb is None else Fb.data[k1i, j],
-                        None if S is None else S.data[k1i, j, 0],
-                        None if Ff is None else Ff.data[k1i, j])
-            loads = None
-            if mode_loads is not None:
-                Lb, LS, Lf = mode_loads
-                loads = (None if Lb is None else Lb.data[k1i, j],
-                         None if LS is None else LS.data[k1i, j, 0],
-                         None if Lf is None else Lf.data[k1i, j])
-            defects = None
-            if mode_defects is not None:
-                defects = (mode_defects["g1"][k1i, j],
-                           mode_defects["g2"][:, k1i, j],
-                           mode_defects["g3"][:, k1i, j],
-                           mode_defects["g4"][k1i, j])
-            return idx, op.step(prior=prior, sources=srcs, loads=loads,
-                                interface_data=defects)
+        def scalar(fld):
+            return None if fld is None else _by_mode(fld)[:, 0]
 
-        if self.threads > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                results = list(pool.map(solve_one, range(len(self.ops))))
-        else:
-            results = [solve_one(i) for i in range(len(self.ops))]
-        # deterministic writeback in storage order regardless of scheduling
-        for idx, (un, pn, vn, pfn) in results:
-            k1i, j = divmod(idx, n2)
-            out.u.data[k1i, j] = un
-            out.p_b.data[k1i, j, 0] = pn
-            out.v.data[k1i, j] = vn
-            out.p_f.data[k1i, j, 0] = pfn
-            if out.w is not None:
-                out.w.data[k1i, j] = (un - s.u.data[k1i, j]) / d.dt
-        return out
+        def triple(fields):
+            if fields is None:
+                return None
+            a, b, c = fields
+            return _by_mode(a), scalar(b), _by_mode(c)
+
+        defects = None
+        if mode_defects is not None:
+            g = {k: np.asarray(v).reshape(-1, n_modes).T
+                 for k, v in mode_defects.items()}
+            defects = (g["g1"][:, 0], g["g2"], g["g3"], g["g4"][:, 0])
+        rhs = build_step_rhs(
+            self.kap1, self.kap2, cfg.params, self.layout, d.dt,
+            prior=(_by_mode(s.u), _by_mode(s.w), scalar(s.p_b), _by_mode(s.v)),
+            sources=triple(mode_sources), loads=triple(mode_loads),
+            interface_data=defects, steady=self.steady)
+
+        # a mode with a zero right-hand side has the zero solution
+        x = np.zeros_like(rhs)
+        for i in np.flatnonzero(rhs.any(axis=1)):
+            x[i], _ = self.ops[i].step(rhs[i])
+        u, p, v, pf = self.layout.unpack(x)
+
+        lateral = s.u.data.shape[:2]
+
+        def field_of(mesh, degree, data):
+            return SpectralField(mesh, degree, data.reshape(
+                lateral + (-1, data.shape[-1])))
+
+        u_next = field_of(self.mb, 2, u)
+        w_next = None
+        if cfg.params.rho_b > 0:
+            w_next = field_of(self.mb, 2, (u - _by_mode(s.u)) / d.dt)
+        return State(s.t + d.dt, u_next, w_next, field_of(self.mb, 1, p),
+                     field_of(self.mf, 2, v), field_of(self.mf, 1, pf))
 
 
 def initialize(cfg: RunConfig, data: InitialData,
@@ -242,20 +239,16 @@ def initialize(cfg: RunConfig, data: InitialData,
     if data.d0 is not None:
         d0 = forward_transform(data.d0, mb, 1)
 
-    # L2 projection of d0 - alpha div u0 onto the pressure space, per mode
+    # L2 projection of d0 - alpha div u0 onto the pressure space, all modes
+    # at once: one solve with the pressure mass matrix for every mode's load
     Mp = mass(mb, 1)
-    Mm, Cm = mixed_mass(mb), mixed_div(mb)
-    pmask = mb.free_mask(1)
-    pidx = np.flatnonzero(pmask)
-    resid = zero_field(mb, 1, d.n1, d.n2, 1)
-    for idx, m in enumerate(mode_table(d.n1, d.n2)):
-        k1i, j = divmod(idx, d.n2)
-        blocks = divergence_blocks(TWO_PI * m.k1, TWO_PI * m.k2, Mm, Cm)
-        load = Mp @ d0.data[k1i, j, 0] \
-            - p.alpha * sum(blocks[a] @ s.u.data[k1i, j, a] for a in range(3))
-        prof = np.zeros(mb.n_nodes(1), dtype=complex)
-        prof[pidx] = np.linalg.solve(Mp[np.ix_(pidx, pidx)], load[pidx])
-        resid.data[k1i, j, 0] = prof
+    pidx = np.flatnonzero(mb.free_mask(1))
+    kap1, kap2 = mode_symbols(mode_table(d.n1, d.n2))
+    load = _by_mode(d0)[:, 0] @ Mp.T - p.alpha * divergence_modes(
+        kap1, kap2, _by_mode(s.u), mixed_mass(mb), mixed_div(mb))
+    prof = np.zeros_like(load)
+    prof[:, pidx] = np.linalg.solve(Mp[np.ix_(pidx, pidx)], load[:, pidx].T).T
+    resid = SpectralField(mb, 1, prof.reshape(d0.data.shape))
 
     if p.c0 > 0:
         s.p_b.data[:] = resid.data / p.c0
@@ -282,14 +275,15 @@ def initialize(cfg: RunConfig, data: InitialData,
 
 
 def run(cfg: RunConfig, data: InitialData, threads: int = 1) -> Trajectory:
-    """Full implicit-Euler trajectory with per-step energy diagnostics."""
+    """Full implicit-Euler trajectory with per-step energy diagnostics.
+    `threads` is accepted for compatibility and ignored (see Simulator)."""
     from . import energy as en  # local import avoids a module cycle
 
     d = cfg.disc
     ratio = d.t_end / d.dt
     if abs(ratio - round(ratio)) > 1e-9:
         raise Violation("t_end", d.t_end, "t_end/dt must be an integer")
-    sim = Simulator(cfg, threads=threads)
+    sim = Simulator(cfg)
     s = initialize(cfg, data, sim)
     traj = Trajectory(states=[s])
     traj.energies.append(en.energy(s, cfg.params))
@@ -301,7 +295,6 @@ def run(cfg: RunConfig, data: InitialData, threads: int = 1) -> Trajectory:
         traj.energies.append(en.energy(s_next, cfg.params))
         traj.dissipation.append(
             en.dissipation_increment(s, s_next, cfg.params, d.dt))
-        traj.slip_norms.append(en.slip_norm(s, s_next, d.dt))
         s = s_next
     return traj
 

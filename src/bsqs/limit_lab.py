@@ -114,14 +114,15 @@ def _swept_config(base: RunConfig, param: str, value: float) -> RunConfig:
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> DistanceReport:
     """Run the reference (parameter exactly 0) and every swept value from
-    identical data, and report distances and vanishing-term magnitudes."""
+    identical data, and report distances and vanishing-term magnitudes.
+    `threads` is accepted for compatibility and ignored (see Simulator)."""
     spec.validate()
     ref_cfg = _swept_config(spec.base, spec.param, 0.0)
-    ref = run(ref_cfg, spec.data, threads=threads)
+    ref = run(ref_cfg, spec.data)
     rep = DistanceReport()
     for value in spec.values:
         cfg = _swept_config(spec.base, spec.param, value)
-        traj = run(cfg, spec.data, threads=threads)
+        traj = run(cfg, spec.data)
         d = trajectory_distance(traj, ref, cfg.params)
         extras = _vanishing_terms(traj, cfg.params)
         rep.values.append(value)

@@ -102,16 +102,16 @@ class Layout:
         return np.concatenate(parts)
 
     def unpack(self, x_free):
-        """Free-DOF solution vector -> dict of full nodal arrays."""
-        full = np.zeros(sum(self.full_sizes), dtype=complex)
-        full[self.free_indices()] = x_free
-        offs = self.full_offsets()
-        out = {}
-        for name, off, size in zip(SLOTS, offs, self.full_sizes):
-            out[name] = full[off:off + size]
-        u = np.stack([out["u1"], out["u2"], out["u3"]])
-        v = np.stack([out["v1"], out["v2"], out["v3"]])
-        return u, out["p"], v, out["pf"]
+        """Free-DOF solution vectors (..., n_free) -> full nodal arrays
+        u (..., 3, nbu), p (..., nbp), v (..., 3, nfu), pf (..., nfp), with
+        any leading axes (one per mode, say) kept."""
+        lead = x_free.shape[:-1]
+        full = np.zeros(lead + (sum(self.full_sizes),), dtype=complex)
+        full[..., self.free_indices()] = x_free
+        offs = self.full_offsets() + [full.shape[-1]]
+        u, p, v, pf = (np.ascontiguousarray(full[..., offs[a]:offs[b]])
+                       for a, b in ((0, 3), (3, 4), (4, 7), (7, 8)))
+        return (u.reshape(lead + (3, -1)), p, v.reshape(lead + (3, -1)), pf)
 
 
 def elastic_blocks(kap1, kap2, M, K, Ct, mu, lam):
@@ -362,92 +362,103 @@ def build_step_matrix(mode: ModeIndex, coeffs: StepCoefficients
         (weights @ coeffs.values, coeffs.indices, coeffs.indptr), shape=(n, n))
 
 
-def build_step_rhs(mode: ModeIndex, p: PhysicalParams, lay: Layout, dt: float,
+def divergence_modes(kap1, kap2, U, Mm, Cm):
+    """divergence_blocks applied to P2 vector profiles of many modes at once:
+    U (modes, 3, n) with symbols kap1, kap2 (modes,) -> (div u, q) rows
+    (modes, nq)."""
+    return (1j * kap1[:, None] * (U[:, 0] @ Mm.T)
+            + 1j * kap2[:, None] * (U[:, 1] @ Mm.T) + U[:, 2] @ Cm.T)
+
+
+def mode_symbols(modes):
+    """Lateral symbols (2 pi k1, 2 pi k2) of a sequence of modes, as two
+    arrays in the order given."""
+    k = np.array(modes, dtype=float).reshape(-1, 2)
+    return TWO_PI * k[:, 0], TWO_PI * k[:, 1]
+
+
+def build_step_rhs(kap1, kap2, p: PhysicalParams, lay: Layout, dt: float,
                    prior=None, sources=None, loads=None, interface_data=None,
                    steady: bool = False) -> np.ndarray:
-    """Right-hand side of the step system.
+    """Right-hand sides of the step systems of many modes at once, as a
+    (modes, n_free) array in Layout.free_indices order.
 
-    prior: (u, w, p_b, v) full nodal arrays of the previous time level (w may
-    be None when rho_b = 0).  sources: (Fb, S, Ff) mode coefficients on the
-    fields' nodal grids (multiplied by mass matrices here); loads: (Lb, LS,
-    Lf) pre-integrated mode load vectors added verbatim.  interface_data:
-    optional manufactured interface defects (g1, g2, g3, g4) with
-    g2 = (g2_1, g2_2) and g3 a 3-vector.
+    kap1, kap2: (modes,) lateral symbols.  Every other array is mode-major.
+    prior: (u, w, p_b, v) of the previous time level with shapes
+    (modes, 3, nbu), (modes, 3, nbu) or None when rho_b = 0, (modes, nbp) and
+    (modes, 3, nfu).  sources: (Fb, S, Ff) mode coefficients on the fields'
+    nodal grids (multiplied by mass matrices here); loads: (Lb, LS, Lf)
+    pre-integrated mode load vectors added verbatim; in both any entry may be
+    None.  interface_data: manufactured interface defects (g1, g2, g3, g4)
+    with shapes (modes,), (modes, 2), (modes, 3) and (modes,).
     """
     mb, mf = lay.mb, lay.mf
-    kap1, kap2 = _symbols(mode)
     b = _mats(mb)
     f = _mats(mf)
     offs = lay.full_offsets()
-    rhs = np.zeros(sum(lay.full_sizes), dtype=complex)
-    ub_if = [offs[a] + mb.interface_node(2) for a in range(3)]
+    nbu, nbp, nfu = lay.full_sizes[0], lay.full_sizes[3], lay.full_sizes[4]
+    rhs = np.zeros((len(kap1), sum(lay.full_sizes)), dtype=complex)
+    # views of the u, p and v slots of every mode
+    ru = rhs[:, offs[0]:offs[3]].reshape(-1, 3, nbu)
+    rp = rhs[:, offs[3]:offs[3] + nbp]
+    rv = rhs[:, offs[4]:offs[7]].reshape(-1, 3, nfu)
+    ib, iv = mb.interface_node(2), mf.interface_node(2)
+    ub_if = offs[0] + np.arange(3) * nbu + ib
     p_if = offs[3] + mb.interface_node(1)
-    v_if = [offs[4 + a] + mf.interface_node(2) for a in range(3)]
-    dvb = divergence_blocks(kap1, kap2, b["Mm"], b["Cm"])
+    v_if = offs[4] + np.arange(3) * nfu + iv
 
     if sources is not None:
         Fb, S, Ff = sources
         if Fb is not None:
-            for a in range(3):
-                rhs[offs[a]:offs[a] + lay.full_sizes[a]] += b["M"] @ Fb[a]
+            ru += Fb @ b["M"].T
         if S is not None:
-            rhs[offs[3]:offs[3] + lay.full_sizes[3]] += b["Mp"] @ S
+            rp += S @ b["Mp"].T
         if Ff is not None:
-            for a in range(3):
-                rhs[offs[4 + a]:offs[4 + a] + lay.full_sizes[4 + a]] += f["M"] @ Ff[a]
+            rv += Ff @ f["M"].T
 
     if loads is not None:
         Lb, LS, Lf = loads
         if Lb is not None:
-            for a in range(3):
-                rhs[offs[a]:offs[a] + lay.full_sizes[a]] += Lb[a]
+            ru += Lb
         if LS is not None:
-            rhs[offs[3]:offs[3] + lay.full_sizes[3]] += LS
+            rp += LS
         if Lf is not None:
-            for a in range(3):
-                rhs[offs[4 + a]:offs[4 + a] + lay.full_sizes[4 + a]] += Lf[a]
+            rv += Lf
 
     if prior is not None and not steady:
         un, wn, pn, vn = prior
         if p.rho_b > 0:
-            for a in range(3):
-                sl = slice(offs[a], offs[a] + lay.full_sizes[a])
-                rhs[sl] += (p.rho_b / dt**2) * (b["M"] @ (un[a] + dt * wn[a]))
+            uw = un if wn is None else un + dt * wn
+            ru += (p.rho_b / dt**2) * (uw @ b["M"].T)
         if p.delta > 0:
             # (delta/dt) a_E(u^n, xi) over the contiguous u1, u2, u3 slots
-            u_flat = np.ravel(un)
-            aE_un = sum(c * (A @ u_flat) for c, A in zip(
-                monomial_weights(kap1, kap2),
-                elastic_split(mb, p.mu, p.lam)))
-            rhs[offs[0]:offs[3]] += (p.delta / dt) * aE_un
-        sl = slice(offs[3], offs[3] + lay.full_sizes[3])
+            u_flat = un.reshape(len(kap1), -1).T
+            weights = monomial_weights(kap1, kap2)
+            aE_un = sum((A @ u_flat) * c for c, A in zip(
+                weights.T, elastic_split(mb, p.mu, p.lam)))
+            rhs[:, offs[0]:offs[3]] += (p.delta / dt) * aE_un.T
         if p.c0 > 0:
-            rhs[sl] += (p.c0 / dt) * (b["Mp"] @ pn)
-        for a in range(3):
-            rhs[sl] += (p.alpha / dt) * (dvb[a] @ un[a])
-        rhs[p_if] += un[2][mb.interface_node(2)] / dt
-        for j in range(2):
-            rhs[ub_if[j]] += (p.beta / dt) * un[j][mb.interface_node(2)]
-            rhs[v_if[j]] += -(p.beta / dt) * un[j][mb.interface_node(2)]
+            rp += (p.c0 / dt) * (pn @ b["Mp"].T)
+        rp += (p.alpha / dt) * divergence_modes(kap1, kap2, un, b["Mm"],
+                                                b["Cm"])
+        rhs[:, p_if] += un[:, 2, ib] / dt
+        rhs[:, ub_if[:2]] += (p.beta / dt) * un[:, :2, ib]
+        rhs[:, v_if[:2]] -= (p.beta / dt) * un[:, :2, ib]
         if p.rho_f > 0:
-            for a in range(3):
-                sl = slice(offs[4 + a], offs[4 + a] + lay.full_sizes[4 + a])
-                rhs[sl] += (p.rho_f / dt) * (f["M"] @ vn[a])
+            rv += (p.rho_f / dt) * (vn @ f["M"].T)
 
     if interface_data is not None:
         g1, g2, g3, g4 = interface_data
         # Biot outward normal at the interface is -e3, so the stress-balance
         # defect enters the displacement rows with a minus sign
-        for a in range(3):
-            rhs[ub_if[a]] += -g3[a]
-        for j in range(2):
-            rhs[ub_if[j]] += -g2[j]
-            rhs[v_if[j]] += g2[j]
-        rhs[ub_if[2]] += -g4
-        rhs[v_if[2]] += g4
-        rhs[p_if] += g1
+        rhs[:, ub_if] -= g3
+        rhs[:, ub_if[:2]] -= g2
+        rhs[:, v_if[:2]] += g2
+        rhs[:, ub_if[2]] -= g4
+        rhs[:, v_if[2]] += g4
+        rhs[:, p_if] += g1
 
-    return rhs[lay.free_indices()]
+    return rhs[:, lay.free_indices()]
 
 
 class ModeOperator:
@@ -457,9 +468,6 @@ class ModeOperator:
 
     def __init__(self, mode: ModeIndex, coeffs: StepCoefficients):
         self.mode = mode
-        self.params = coeffs.params
-        self.dt = coeffs.dt
-        self.steady = coeffs.steady
         self.layout = coeffs.layout
         self.kl, self.ku = coeffs.kl, coeffs.ku
         self.matrix = build_step_matrix(mode, coeffs)
@@ -471,18 +479,19 @@ class ModeOperator:
         if info != 0:
             raise SingularSystem(mode, f"band LU failed (zgbtrf info {info})")
 
-    def step(self, prior=None, sources=None, loads=None, interface_data=None):
-        rhs = build_step_rhs(self.mode, self.params, self.layout, self.dt,
-                             prior=prior, sources=sources, loads=loads,
-                             interface_data=interface_data, steady=self.steady)
-        if not np.any(rhs):
-            x = np.zeros_like(rhs)
-        else:
-            x, _ = zgbtrs(self.band_lu, self.kl, self.ku, rhs, self.piv)
-            res = np.linalg.norm(self.matrix @ x - rhs) / np.linalg.norm(rhs)
-            if not np.isfinite(res) or res > 1e-11:
-                raise SingularSystem(self.mode, f"relative residual {res:.3e}")
-        return self.layout.unpack(x)
+    def step(self, rhs):
+        """Solve this mode's step system for one free-DOF right-hand side
+        (a row of build_step_rhs).  Returns (x, residual): the free-DOF
+        solution and its relative residual |A x - rhs| / |rhs|, which must
+        not exceed 1e-11.  A zero right-hand side gives x = 0, residual 0."""
+        scale = np.linalg.norm(rhs)
+        if scale == 0:
+            return np.zeros_like(rhs), scale
+        x, _ = zgbtrs(self.band_lu, self.kl, self.ku, rhs, self.piv)
+        res = np.linalg.norm(self.matrix @ x - rhs) / scale
+        if not np.isfinite(res) or res > 1e-11:
+            raise SingularSystem(self.mode, f"relative residual {res:.3e}")
+        return x, res
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from bsqs.config import Discretization, RunConfig
+from bsqs.config import Discretization, RunConfig, SourceSpec, parse_config
 from bsqs.errors import (GridMismatch, IncompatibleData, NotDivergenceFree,
                          Violation)
 from bsqs.integrator import (InitialData, Simulator, check_same_grid,
                              initialize, run)
-from bsqs.spectral import inverse_transform
+from bsqs.mode_assembly import ModeOperator
+from bsqs.spectral import ModeIndex, inverse_transform, mode_table
+from bsqs.verification import (manufacture_sources, solve_steady,
+                               solve_transient, steady_case, temporal_case)
 from conftest import make_config, make_params, smooth_initial_callables
 
 
@@ -135,6 +138,126 @@ def test_threaded_run_is_deterministic():
         assert np.array_equal(sa.v.data, sb.v.data)
         assert np.array_equal(sa.p_b.data, sb.p_b.data)
         assert np.array_equal(sa.p_f.data, sb.p_f.data)
+
+
+# the README configuration on a smaller grid and a shorter run
+README_RUN = """
+physics.lambda = 1.0
+physics.mu = 1.0
+physics.alpha = 1.0
+physics.c0 = 1.0
+physics.k = 1.0
+physics.nu = 1.0
+physics.beta = 1.0
+physics.rho_b = 0.0
+physics.rho_f = 0.0
+physics.delta = 0.5
+grid.n1 = 8
+grid.n2 = 8
+grid.nb = 4
+grid.nf = 4
+time.dt = 0.015625
+time.t_end = 0.0625
+run.u0_3 = 0.1*cos(2*pi*x1)*(1-x3)^2
+run.d0 = -0.2*cos(2*pi*x1)*(1-x3)
+"""
+
+
+def test_step_solves_only_modes_with_nonzero_rhs(monkeypatch):
+    # source-free data in the k1 = 1 modes: every other mode's right-hand
+    # side stays zero (or at FFT roundoff), and a zero one is never solved
+    cfg = parse_config(README_RUN)
+    solved = []
+    solve = ModeOperator.step
+
+    def counting_step(self, *args, **kwargs):
+        solved.append(self.mode)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModeOperator, "step", counting_step)
+    run(cfg, InitialData.from_plan(cfg))
+    n_modes = len(mode_table(cfg.disc.n1, cfg.disc.n2))
+    # n_steps steps plus the quasi-static initialization probe
+    steps = cfg.disc.n_steps + 1
+    assert solved.count(ModeIndex(1, 0)) == steps
+    assert len(solved) < steps * n_modes
+
+
+def _fingerprint(state):
+    """Norm and one fixed complex projection of each field's coefficients."""
+    out = {}
+    for name in ("u", "w", "p_b", "v", "p_f"):
+        data = getattr(state, name).data.ravel()
+        k = np.arange(data.size)
+        weights = np.cos(0.7 * k) + 1j * np.sin(1.3 * k)
+        out[name] = (np.linalg.norm(data), np.vdot(weights, data),
+                     np.linalg.norm(weights))
+    return out
+
+
+def _manufactured_step(kind):
+    cfg = make_config(t_end=2 / 16)
+    if kind == "transient":
+        return solve_transient(
+            manufacture_sources(temporal_case(), cfg.params), cfg)
+    return solve_steady(manufacture_sources(steady_case(), cfg.params), cfg)
+
+
+def _driven_step():
+    tp = 2 * np.pi
+    src = SourceSpec(
+        F_b=(None, None,
+             lambda x1, x2, x3, t: np.sin(tp * x1) * (1 - x3) * np.cos(t)),
+        S=lambda x1, x2, x3, t: np.cos(tp * x2) * (1 - x3) * x3 * (1 + t),
+        F_f=(lambda x1, x2, x3, t: np.cos(tp * (x1 + x2)) * (1 + x3)
+             * np.sin(t + 1), None, None))
+    cfg = replace(make_config(), sources=src)
+    sim = Simulator(cfg)
+    s = initialize(cfg, smooth_data(cfg, u0=True, u1=True, d0=True, v0=True),
+                   sim)
+    return sim.step(s, mode_sources=sim._sample_sources(cfg.disc.dt))
+
+
+# (norm, projection) per field, recorded from the implementation that
+# assembled and solved one mode at a time
+RECORDED_STEPS = {
+    "transient": {
+        "u": (1.2723135309458893, 0.3868873559328342 - 0.6009094105941957j),
+        "w": (0.8782358782229115, 0.12090812087985292 + 0.3240444087752986j),
+        "p_b": (0.6173436224965343,
+                -0.43804438862227685 - 0.43869665809953184j),
+        "v": (0.7833254541096292, 0.0829641885207851 + 0.2521328716431447j),
+        "p_f": (0.604141095937927, -0.7773263425142446 + 0.40569565649244504j),
+    },
+    "steady": {
+        "u": (1.631662739438384, -1.6428382882529513 - 0.4834313920691837j),
+        "w": (26.106603831014144, -26.28541261204722 - 7.734902273106939j),
+        "p_b": (0.7377100578054362, -1.0327915861064598 + 0.21957106932999157j),
+        "v": (0.7624923714681695, 0.1744389401508417 + 0.24130749783719427j),
+        "p_f": (0.6721413279249553, -0.830199119880628 + 0.4724557137384924j),
+    },
+    "sources": {
+        "u": (0.16938719768171975, 0.07387907646251374 - 0.08721242098598542j),
+        "w": (0.2703436967943766, -0.010823850023594754 + 0.14239018628545236j),
+        "p_b": (0.026759581094499583,
+                0.02167735750201044 - 0.030707089306657602j),
+        "v": (0.20111477130786093,
+              -0.010574791513465083 - 0.03662644454072652j),
+        "p_f": (0.2955994668573799, 0.2517272719862252 - 0.056353365261410056j),
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RECORDED_STEPS))
+def test_step_matches_recorded_values(kind):
+    """Full physics with a nonzero prior, manufactured loads and interface
+    defects (transient, and the steady path), or volumetric sources."""
+    s = _driven_step() if kind == "sources" else _manufactured_step(kind)
+    for name, (norm, proj, wnorm) in _fingerprint(s).items():
+        ref_norm, ref_proj = RECORDED_STEPS[kind][name]
+        assert abs(norm - ref_norm) <= 1e-12 * ref_norm
+        # |projection| <= |weights| |data|, so this is relative to the data
+        assert abs(proj - ref_proj) <= 1e-12 * wnorm * ref_norm
 
 
 def test_repeat_run_bitwise_identical():

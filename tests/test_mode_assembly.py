@@ -13,8 +13,9 @@ from bsqs.fem1d import VerticalMesh
 from bsqs.integrator import Simulator, initialize, InitialData
 from bsqs.mode_assembly import (Layout, ModeOperator, StepCoefficients,
                                 assemble_generator, build_step_matrix,
-                                dense_real_space_oracle, divergence_blocks,
-                                elastic_blocks, elastic_split,
+                                build_step_rhs, dense_real_space_oracle,
+                                divergence_blocks, elastic_blocks,
+                                elastic_split, mode_symbols,
                                 monomial_weights, _mats)
 from bsqs.spectral import ModeIndex, forward_transform, inverse_transform
 from conftest import make_config, make_params, smooth_initial_callables
@@ -134,14 +135,18 @@ def test_build_step_matrix_rejects_swapped_meshes():
 def test_zero_rhs_gives_zero_solution():
     op = ModeOperator(ModeIndex(1, 1),
                       StepCoefficients(make_params(), MB, MF, 1 / 16))
-    u, p, v, pf = op.step()
+    x, res = op.step(np.zeros(op.layout.n_free, dtype=complex))
+    u, p, v, pf = op.layout.unpack(x)
     assert np.abs(u).max() == 0 and np.abs(p).max() == 0
     assert np.abs(v).max() == 0 and np.abs(pf).max() == 0
+    assert res == 0  # no 0/0 residual
 
 
 def test_step_is_linear_in_prior(rng):
-    op = ModeOperator(ModeIndex(1, -1),
-                      StepCoefficients(make_params(), MB, MF, 1 / 16))
+    mode = ModeIndex(1, -1)
+    coeffs = StepCoefficients(make_params(), MB, MF, 1 / 16)
+    op = ModeOperator(mode, coeffs)
+    kap1, kap2 = mode_symbols([mode])
 
     def rand_prior():
         u = rng.standard_normal((3, MB.n_nodes(2))) + 1j * rng.standard_normal(
@@ -151,11 +156,18 @@ def test_step_is_linear_in_prior(rng):
         v = rng.standard_normal((3, MF.n_nodes(2))) + 0j
         return (u, w, p, v)
 
+    def solve(prior):
+        rhs = build_step_rhs(kap1, kap2, coeffs.params, coeffs.layout,
+                             coeffs.dt, prior=tuple(a[None] for a in prior))
+        x, res = op.step(rhs[0])
+        assert res <= 1e-11
+        return op.layout.unpack(x)
+
     pa, pb_ = rand_prior(), rand_prior()
     psum = tuple(x + 2.0 * y for x, y in zip(pa, pb_))
-    ra = op.step(prior=pa)
-    rb = op.step(prior=pb_)
-    rs = op.step(prior=psum)
+    ra = solve(pa)
+    rb = solve(pb_)
+    rs = solve(psum)
     for fa, fb, fs in zip(ra, rb, rs):
         scale = max(np.abs(fs).max(), 1.0)
         assert np.abs(fs - (fa + 2.0 * fb)).max() < 1e-11 * scale
