@@ -48,13 +48,18 @@ def _say(args, msg):
 
 
 def _cmd_run(args):
+    """`run` and `audit`: integrate, audit the states into energy.csv, and
+    for `run` also write one snapshot per state."""
     cfg = _load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
-    data = InitialData.from_plan(cfg)
-    traj = run(cfg, data)
+    traj = run(cfg, InitialData.from_plan(cfg))
     rep = en.audit(traj, cfg.params, cfg.sources)
     snapshots.write_timeseries(snapshots.energy_report_columns(rep),
                                os.path.join(args.out, "energy.csv"))
+    if args.command == "audit":
+        _say(args, f"wrote energy.csv to {args.out}; "
+                   f"max residual {max(rep.residual):.3e}")
+        return 0
     regime = {k: getattr(cfg.params, k)
               for k in ("rho_b", "rho_f", "delta", "c0")}
     for n, s in enumerate(traj.states):
@@ -114,19 +119,6 @@ def _cmd_verify(args):
     return 0
 
 
-def _cmd_audit(args):
-    cfg = _load_config(args.config)
-    os.makedirs(args.out, exist_ok=True)
-    data = InitialData.from_plan(cfg)
-    traj = run(cfg, data)
-    rep = en.audit(traj, cfg.params, cfg.sources)
-    snapshots.write_timeseries(snapshots.energy_report_columns(rep),
-                               os.path.join(args.out, "energy.csv"))
-    _say(args, f"wrote energy.csv to {args.out}; "
-               f"max residual {max(rep.residual):.3e}")
-    return 0
-
-
 def _cmd_greens_check(args):
     os.makedirs(args.out, exist_ok=True)
     cols = {"k1": [], "k2": [], "dirichlet_err": [], "neumann_err": []}
@@ -152,7 +144,7 @@ _COMMANDS = {
     "run": _cmd_run,
     "sweep": _cmd_sweep,
     "verify": _cmd_verify,
-    "audit": _cmd_audit,
+    "audit": _cmd_run,
     "greens-check": _cmd_greens_check,
 }
 

@@ -20,7 +20,7 @@ from .fem1d import evaluate_derivative, mass
 from .mode_assembly import (MONOMIALS, _mats, divergence_blocks,
                             elastic_split, monomial_weights)
 from .spectral import (SpectralField, lateral_l2_norm_sq, mode_table,
-                       mode_weights, parseval_weights_grid)
+                       mode_weights, parseval_weights_grid, sample_sources)
 
 TWO_PI = 2.0 * np.pi
 
@@ -149,23 +149,29 @@ _BREAKDOWN_KEYS = ("elastic", "storage", "kinetic_b", "kinetic_f",
 
 
 def audit(traj, p: PhysicalParams, sources: SourceSpec = None) -> EnergyReport:
-    """Populate the per-step balance report.  For source-free runs asserts
-    the dissipation inequality e_n + d_n <= e_0 up to roundoff tolerance."""
+    """Populate the per-step balance report from the trajectory's states,
+    sampling each step's sources once.  For source-free runs asserts the
+    dissipation inequality e_n + d_n <= e_0 up to roundoff tolerance."""
     states = traj.states
     dt = states[1].t - states[0].t if len(states) > 1 else 0.0
     rep = EnergyReport(breakdown={k: [] for k in _BREAKDOWN_KEYS})
     source_free = sources is None or sources.is_zero()
-    e0 = energy(states[0], p)
+    n1, n2 = states[0].u.lateral_shape
+    mb, mf = states[0].u.mesh, states[0].v.mesh
+    sampled = []
     d_cum = 0.0
     work = 0.0
-    tol = 1e-10 * max(e0, 1.0)
     for n, s in enumerate(states):
         e_n = energy(s, p)
-        if n > 0:
+        if n == 0:
+            e0 = e_n
+            tol = 1e-10 * max(e0, 1.0)
+        else:
             prev = states[n - 1]
             d_cum += dissipation_increment(prev, s, p, dt)
             if not source_free:
-                work += dt * _source_work(prev, s, p, sources, dt)
+                sampled.append(sample_sources(sources, n1, n2, mb, mf, s.t))
+                work += dt * _source_work(prev, s, sampled[-1], dt)
         r_n = e_n + d_cum - e0 - work
         if source_free and r_n > tol:
             raise BalanceViolation(n, r_n)
@@ -196,7 +202,7 @@ def audit(traj, p: PhysicalParams, sources: SourceSpec = None) -> EnergyReport:
             bd["slip"].append(0.0)
             bd["kelvin_voigt"].append(0.0)
     if not source_free:
-        bound = e0 + _dual_source_quadrature(traj, p, sources, dt)
+        bound = e0 + _dual_source_quadrature(states[0], p, sampled, dt)
         peak = max(en + dn for en, dn in zip(rep.e, rep.d_cum))
         rep.driven_constant = peak / max(bound, 1e-300)
     return rep
@@ -211,41 +217,31 @@ def _pairing(load_field, state_field, gram) -> float:
     return float(np.sum(w * vals))
 
 
-def _source_work(prev, s, p, sources, dt):
-    """(F_b, Dt u) + (S, p^{n+1}) + (F_f, v^{n+1}) at the implicit level."""
-    from .spectral import forward_transform, sample_function
-
-    n1, n2 = s.u.lateral_shape
+def _source_work(prev, s, fields, dt):
+    """(F_b, Dt u) + (S, p^{n+1}) + (F_f, v^{n+1}) at the implicit level, for
+    the sources (Fb, S, Ff) sampled at that level."""
+    Fb, S, Ff = fields
     total = 0.0
-    t = s.t
-    if any(c is not None for c in sources.F_b):
-        samp = sample_function(sources.F_b, n1, n2, s.u.mesh, 2, t=t)
-        F = forward_transform(samp, s.u.mesh, 2)
+    if Fb is not None:
         du = s.u.copy()
         du.data[:] = (s.u.data - prev.u.data) / dt
-        total += _pairing(F, du, mass(s.u.mesh, 2))
-    if sources.S is not None:
-        samp = sample_function(sources.S, n1, n2, s.p_b.mesh, 1, t=t)
-        F = forward_transform(samp, s.p_b.mesh, 1)
-        total += _pairing(F, s.p_b, mass(s.p_b.mesh, 1))
-    if any(c is not None for c in sources.F_f):
-        samp = sample_function(sources.F_f, n1, n2, s.v.mesh, 2, t=t)
-        F = forward_transform(samp, s.v.mesh, 2)
-        total += _pairing(F, s.v, mass(s.v.mesh, 2))
+        total += _pairing(Fb, du, mass(s.u.mesh, 2))
+    if S is not None:
+        total += _pairing(S, s.p_b, mass(s.p_b.mesh, 1))
+    if Ff is not None:
+        total += _pairing(Ff, s.v, mass(s.v.mesh, 2))
     return total
 
 
-def _dual_source_quadrature(traj, p, sources, dt):
+def _dual_source_quadrature(s0, p, sampled, dt):
     """Time quadrature of the source norms entering the a-priori bound:
     ||F_b||_{L2}^2 plus discrete dual norms of S (against the Darcy form) and
-    F_f (against the viscous form on the divergence-free subspace).
+    F_f (against the viscous form on the divergence-free subspace), from the
+    sources (Fb, S, Ff) sampled at each step's implicit level.
 
     The dual norms need a per-mode Gram matrix and, for F_f, a basis of the
     divergence-free subspace; both depend only on the mode, so each mode's
     setup is done once and applied to the loads of every step at once."""
-    from .spectral import forward_transform, sample_function
-
-    s0 = traj.states[0]
     n1, n2 = s0.u.lateral_shape
     mb, mf = s0.u.mesh, s0.v.mesh
     bm = _mats(mb)
@@ -254,18 +250,13 @@ def _dual_source_quadrature(traj, p, sources, dt):
     powers = _mode_monomials(n1, n2)
     total = 0.0
     S_loads, Ff_loads = [], []
-    for s in traj.states[1:]:
-        t = s.t
-        if any(c is not None for c in sources.F_b):
-            samp = sample_function(sources.F_b, n1, n2, mb, 2, t=t)
-            F = forward_transform(samp, mb, 2)
-            total += dt * lateral_l2_norm_sq(F, bm["M"])
-        if sources.S is not None:
-            samp = sample_function(sources.S, n1, n2, mb, 1, t=t)
-            S_loads.append(forward_transform(samp, mb, 1).data @ bm["Mp"])
-        if any(c is not None for c in sources.F_f):
-            samp = sample_function(sources.F_f, n1, n2, mf, 2, t=t)
-            Ff_loads.append(forward_transform(samp, mf, 2).data @ fm["M"])
+    for Fb, S, Ff in sampled:
+        if Fb is not None:
+            total += dt * lateral_l2_norm_sq(Fb, bm["M"])
+        if S is not None:
+            S_loads.append(S.data @ bm["Mp"])
+        if Ff is not None:
+            Ff_loads.append(Ff.data @ fm["M"])
 
     def dual_sum(loads, free, setup):
         """dt * sum over modes and steps of w * load^H G^{-1} load on the

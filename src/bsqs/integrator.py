@@ -12,14 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RunConfig, SourceSpec
+from .config import RunConfig
 from .errors import (GridMismatch, IncompatibleData, NotDivergenceFree,
                      Violation)
 from .fem1d import VerticalMesh, mass, mixed_div, mixed_mass
 from .mode_assembly import (ModeOperator, StepCoefficients, build_step_rhs,
                             divergence_modes, mode_symbols)
 from .spectral import (SpectralField, forward_transform, mode_table,
-                       sample_function, zero_field)
+                       sample_function, sample_sources, zero_field)
 
 
 @dataclass
@@ -85,9 +85,6 @@ class State:
 @dataclass
 class Trajectory:
     states: list = field(default_factory=list)
-    # per-step diagnostics, populated by run(): entry n covers step n-1 -> n
-    energies: list = field(default_factory=list)
-    dissipation: list = field(default_factory=list)
 
     @property
     def times(self):
@@ -141,21 +138,8 @@ class Simulator:
         self.ops = [ModeOperator(m, coeffs) for m in self.modes]
 
     def _sample_sources(self, t: float):
-        src = self.cfg.sources
-        if src.is_zero():
-            return None
         d = self.cfg.disc
-        Fb = S = Ff = None
-        if any(c is not None for c in src.F_b):
-            samp = sample_function(src.F_b, d.n1, d.n2, self.mb, 2, t=t)
-            Fb = forward_transform(samp, self.mb, 2)
-        if src.S is not None:
-            samp = sample_function(src.S, d.n1, d.n2, self.mb, 1, t=t)
-            S = forward_transform(samp, self.mb, 1)
-        if any(c is not None for c in src.F_f):
-            samp = sample_function(src.F_f, d.n1, d.n2, self.mf, 2, t=t)
-            Ff = forward_transform(samp, self.mf, 2)
-        return Fb, S, Ff
+        return sample_sources(self.cfg.sources, d.n1, d.n2, self.mb, self.mf, t)
 
     def step(self, s: State, mode_sources=None, mode_loads=None,
              mode_defects=None) -> State:
@@ -275,10 +259,9 @@ def initialize(cfg: RunConfig, data: InitialData,
 
 
 def run(cfg: RunConfig, data: InitialData, threads: int = 1) -> Trajectory:
-    """Full implicit-Euler trajectory with per-step energy diagnostics.
-    `threads` is accepted for compatibility and ignored (see Simulator)."""
-    from . import energy as en  # local import avoids a module cycle
-
+    """Full implicit-Euler trajectory: the states only; energy.audit
+    evaluates the diagnostics from them.  `threads` is accepted for
+    compatibility and ignored (see Simulator)."""
     d = cfg.disc
     ratio = d.t_end / d.dt
     if abs(ratio - round(ratio)) > 1e-9:
@@ -286,16 +269,9 @@ def run(cfg: RunConfig, data: InitialData, threads: int = 1) -> Trajectory:
     sim = Simulator(cfg)
     s = initialize(cfg, data, sim)
     traj = Trajectory(states=[s])
-    traj.energies.append(en.energy(s, cfg.params))
     for n in range(d.n_steps):
-        t_next = (n + 1) * d.dt
-        srcs = sim._sample_sources(t_next)
-        s_next = sim.step(s, mode_sources=srcs)
-        traj.states.append(s_next)
-        traj.energies.append(en.energy(s_next, cfg.params))
-        traj.dissipation.append(
-            en.dissipation_increment(s, s_next, cfg.params, d.dt))
-        s = s_next
+        s = sim.step(s, mode_sources=sim._sample_sources((n + 1) * d.dt))
+        traj.states.append(s)
     return traj
 
 

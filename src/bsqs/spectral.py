@@ -161,6 +161,24 @@ def sample_function(fn, n1, n2, mesh, degree, t=0.0, ncomp=None):
     return out
 
 
+def sample_sources(sources, n1, n2, mb, mf, t):
+    """Sample the sources F_b, S (on the Biot mesh mb) and F_f (on the fluid
+    mesh mf) at time t and transform them: a tuple (Fb, S, Ff) of
+    SpectralFields with None for an absent source, or None when all are."""
+    if sources.is_zero():
+        return None
+
+    def field(fn, mesh, degree):
+        return forward_transform(
+            sample_function(fn, n1, n2, mesh, degree, t=t), mesh, degree)
+
+    return (field(sources.F_b, mb, 2)
+            if any(c is not None for c in sources.F_b) else None,
+            field(sources.S, mb, 1) if sources.S is not None else None,
+            field(sources.F_f, mf, 2)
+            if any(c is not None for c in sources.F_f) else None)
+
+
 def interface_trace(field: SpectralField) -> np.ndarray:
     """Per-mode complex boundary values at x3 = 0: shape (n1h, n2, ncomp)."""
     node = field.mesh.interface_node(field.degree)

@@ -1,6 +1,12 @@
 """Shared fixtures and helpers for the test suite."""
 
-import numpy as np
+import os
+
+# one BLAS thread, set before numpy loads BLAS: the dense 143x143 svd, eigh
+# and solve calls of the generator certificate thrash with two threads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from bsqs.config import Discretization, PhysicalParams, RunConfig

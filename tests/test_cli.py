@@ -107,6 +107,36 @@ def test_audit_command(config_file, tmp_path):
     assert max(cols["residual"]) <= 1e-10 * max(cols["e"][0], 1.0)
 
 
+def test_run_evaluates_energy_once_per_state(config_file, tmp_path,
+                                             monkeypatch):
+    """run() only integrates; the audit is the one diagnostics pass, so each
+    of the 4 + 1 states has its energy evaluated once."""
+    import bsqs.energy
+
+    calls = []
+    energy = bsqs.energy.energy
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return energy(*args, **kwargs)
+
+    monkeypatch.setattr(bsqs.energy, "energy", counted)
+    assert main(["run", "--config", str(config_file),
+                 "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert len(calls) == 4 + 1
+
+
+def test_run_and_audit_write_the_same_energy_csv(config_file, tmp_path):
+    ran, audited = tmp_path / "run", tmp_path / "audit"
+    for command, out in (("run", ran), ("audit", audited)):
+        assert main([command, "--config", str(config_file),
+                     "--out", str(out), "--quiet"]) == 0
+    assert (ran / "energy.csv").read_bytes() == \
+        (audited / "energy.csv").read_bytes()
+    assert len(list(ran.glob("state_*.snap"))) == 5
+    assert list(audited.glob("state_*.snap")) == []
+
+
 def test_missing_config_is_usage_error(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "absent.cfg"),
                "--out", str(tmp_path / "o")])

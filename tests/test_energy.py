@@ -200,6 +200,26 @@ def test_driven_constant_matches_recorded_value(name, expected):
     assert rep.driven_constant == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+def test_audit_samples_each_source_once_per_step(monkeypatch):
+    """The source work and the dual-source bound share one sampling of F_b,
+    S and F_f per step."""
+    import bsqs.spectral
+    from dataclasses import replace
+    cfg = replace(make_config(), sources=_DRIVEN_SOURCES["F_b, S, F_f"])
+    traj = run(cfg, InitialData())
+    calls = []
+    sample = bsqs.spectral.sample_function
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(bsqs.spectral, "sample_function", counted)
+    rep = en.audit(traj, cfg.params, cfg.sources)
+    assert rep.driven_constant is not None
+    assert len(calls) == cfg.disc.n_steps * 3
+
+
 def test_breakdown_keys_and_lengths():
     cfg = make_config()
     fns = smooth_initial_callables(alpha=cfg.params.alpha)

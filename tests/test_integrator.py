@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from bsqs import energy as en
 from bsqs.config import Discretization, RunConfig, SourceSpec, parse_config
 from bsqs.errors import (GridMismatch, IncompatibleData, NotDivergenceFree,
                          Violation)
@@ -106,8 +107,9 @@ def test_run_produces_expected_trajectory_shape():
     cfg = make_config()
     traj = run(cfg, smooth_data(cfg, u0=True, d0=True))
     assert len(traj.states) == cfg.disc.n_steps + 1
-    assert len(traj.energies) == len(traj.states)
-    assert len(traj.dissipation) == cfg.disc.n_steps
+    rep = en.audit(traj, cfg.params)
+    assert len(rep.e) == len(traj.states)
+    assert len(np.diff(rep.d_cum)) == cfg.disc.n_steps
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(cfg.disc.t_end)
 
