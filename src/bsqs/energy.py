@@ -8,7 +8,7 @@ conjugate partner is not stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -83,12 +83,10 @@ def l2_norm(fld: SpectralField) -> float:
 
 
 def _trace_norm_sq(values) -> float:
-    """Parseval sum of squared interface trace coefficients,
-    values shape (n1h, n2)."""
-    n1h = values.shape[0]
-    w = np.full(n1h, 2.0)
-    w[0] = 1.0
-    w[-1] = 1.0
+    """Parseval sum of squared interface trace coefficients, values shape
+    (..., n1h, n2), summed over any leading axes (components, say)."""
+    n1h, n2 = values.shape[-2:]
+    w = mode_weights(2 * (n1h - 1), n2)
     return float(np.sum(w[:, None] * np.abs(values) ** 2))
 
 
@@ -102,8 +100,7 @@ def _slip_trace(s_prev, s_next, dt):
 
 
 def slip_norm(s_prev, s_next, dt) -> float:
-    slip = _slip_trace(s_prev, s_next, dt)
-    return float(np.sqrt(sum(_trace_norm_sq(slip[j]) for j in range(2))))
+    return float(np.sqrt(_trace_norm_sq(_slip_trace(s_prev, s_next, dt))))
 
 
 def energy(s, p: PhysicalParams) -> float:
@@ -124,11 +121,9 @@ def dissipation_increment(s_prev, s_next, p: PhysicalParams, dt) -> float:
     total = p.k_perm * grad_norm_sq(s_next.p_b) \
         + viscous_norm_sq(s_next.v, p.nu)
     if p.delta > 0:
-        du = s_next.u.copy()
-        du.data[:] = (s_next.u.data - s_prev.u.data) / dt
+        du = replace(s_next.u, data=(s_next.u.data - s_prev.u.data) / dt)
         total += p.delta * elastic_norm_sq(du, p)
-    slip = _slip_trace(s_prev, s_next, dt)
-    total += p.beta * sum(_trace_norm_sq(slip[j]) for j in range(2))
+    total += p.beta * _trace_norm_sq(_slip_trace(s_prev, s_next, dt))
     return dt * total
 
 
@@ -189,12 +184,10 @@ def audit(traj, p: PhysicalParams, sources: SourceSpec = None) -> EnergyReport:
         bd["darcy"].append(p.k_perm * grad_norm_sq(s.p_b))
         bd["viscous"].append(viscous_norm_sq(s.v, p.nu))
         if n:
-            bd["slip"].append(p.beta * sum(
-                _trace_norm_sq(_slip_trace(states[n - 1], s, dt)[j])
-                for j in range(2)))
+            bd["slip"].append(
+                p.beta * _trace_norm_sq(_slip_trace(states[n - 1], s, dt)))
             if p.delta > 0:
-                du = s.u.copy()
-                du.data[:] = (s.u.data - states[n - 1].u.data) / dt
+                du = replace(s.u, data=(s.u.data - states[n - 1].u.data) / dt)
                 bd["kelvin_voigt"].append(p.delta * elastic_norm_sq(du, p))
             else:
                 bd["kelvin_voigt"].append(0.0)
@@ -223,8 +216,7 @@ def _source_work(prev, s, fields, dt):
     Fb, S, Ff = fields
     total = 0.0
     if Fb is not None:
-        du = s.u.copy()
-        du.data[:] = (s.u.data - prev.u.data) / dt
+        du = replace(s.u, data=(s.u.data - prev.u.data) / dt)
         total += _pairing(Fb, du, mass(s.u.mesh, 2))
     if S is not None:
         total += _pairing(S, s.p_b, mass(s.p_b.mesh, 1))
@@ -342,6 +334,6 @@ def interface_residuals(s_prev, s_next, p: PhysicalParams, dt):
             + 2.0 * p.nu * dv[2]
     return {
         "kinematic": float(np.sqrt(_trace_norm_sq(r1))),
-        "slip": float(np.sqrt(sum(_trace_norm_sq(r2[a]) for a in range(2)))),
+        "slip": float(np.sqrt(_trace_norm_sq(r2))),
         "normal_stress": float(np.sqrt(_trace_norm_sq(r4))),
     }

@@ -127,15 +127,13 @@ class Simulator:
     def __init__(self, cfg: RunConfig, steady: bool = False, threads: int = 1):
         cfg.disc.validate()
         self.cfg = cfg
-        self.steady = steady
         self.mb = VerticalMesh("biot", cfg.disc.nb)
         self.mf = VerticalMesh("fluid", cfg.disc.nf)
         self.modes = mode_table(cfg.disc.n1, cfg.disc.n2)
         self.kap1, self.kap2 = mode_symbols(self.modes)
-        coeffs = StepCoefficients(cfg.params, self.mb, self.mf, cfg.disc.dt,
-                                  steady=steady)
-        self.layout = coeffs.layout
-        self.ops = [ModeOperator(m, coeffs) for m in self.modes]
+        self.coeffs = StepCoefficients(cfg.params, self.mb, self.mf,
+                                       cfg.disc.dt, steady=steady)
+        self.ops = [ModeOperator(m, self.coeffs) for m in self.modes]
 
     def _sample_sources(self, t: float):
         d = self.cfg.disc
@@ -166,16 +164,16 @@ class Simulator:
                  for k, v in mode_defects.items()}
             defects = (g["g1"][:, 0], g["g2"], g["g3"], g["g4"][:, 0])
         rhs = build_step_rhs(
-            self.kap1, self.kap2, cfg.params, self.layout, d.dt,
+            self.kap1, self.kap2, self.coeffs,
             prior=(_by_mode(s.u), _by_mode(s.w), scalar(s.p_b), _by_mode(s.v)),
             sources=triple(mode_sources), loads=triple(mode_loads),
-            interface_data=defects, steady=self.steady)
+            interface_data=defects)
 
         # a mode with a zero right-hand side has the zero solution
         x = np.zeros_like(rhs)
         for i in np.flatnonzero(rhs.any(axis=1)):
             x[i], _ = self.ops[i].step(rhs[i])
-        u, p, v, pf = self.layout.unpack(x)
+        u, p, v, pf = self.coeffs.layout.unpack(x)
 
         lateral = s.u.data.shape[:2]
 

@@ -9,7 +9,7 @@ vanish before viscoelasticity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,21 +66,17 @@ def trajectory_distance(a: Trajectory, b: Trajectory, params) -> dict:
     d3_sq = 0.0
     d4_sq = 0.0
     for n, (sa, sb) in enumerate(zip(a.states, b.states)):
-        du = sa.u.copy()
-        du.data[:] = sa.u.data - sb.u.data
+        du = replace(sa.u, data=sa.u.data - sb.u.data)
         d1_sq = max(d1_sq, elastic_norm_sq(du, params))
         if n == 0:
             continue
-        dp = sa.p_b.copy()
-        dp.data[:] = sa.p_b.data - sb.p_b.data
+        dp = replace(sa.p_b, data=sa.p_b.data - sb.p_b.data)
         d2_sq += dt * grad_norm_sq(dp)
-        dv = sa.v.copy()
-        dv.data[:] = sa.v.data - sb.v.data
+        dv = replace(sa.v, data=sa.v.data - sb.v.data)
         d3_sq += dt * viscous_norm_sq(dv, 0.5)
         slip_a = _slip_trace(a.states[n - 1], sa, dt)
         slip_b = _slip_trace(b.states[n - 1], sb, dt)
-        d4_sq += dt * sum(_trace_norm_sq(slip_a[j] - slip_b[j])
-                          for j in range(2))
+        d4_sq += dt * _trace_norm_sq(slip_a - slip_b)
     return {"D1": float(np.sqrt(d1_sq)), "D2": float(np.sqrt(d2_sq)),
             "D3": float(np.sqrt(d3_sq)), "D4": float(np.sqrt(d4_sq))}
 
@@ -94,8 +90,8 @@ def _vanishing_terms(traj: Trajectory, params) -> dict:
     max_dtu_e = 0.0
     max_v = 0.0
     for n in range(1, len(traj.states)):
-        du = traj.states[n].u.copy()
-        du.data[:] = (traj.states[n].u.data - traj.states[n - 1].u.data) / dt
+        du = replace(traj.states[n].u, data=(traj.states[n].u.data
+                                             - traj.states[n - 1].u.data) / dt)
         max_dtu_l2 = max(max_dtu_l2, l2_norm_sq(du))
         max_dtu_e = max(max_dtu_e, elastic_norm_sq(du, params))
         max_v = max(max_v, l2_norm_sq(traj.states[n].v))

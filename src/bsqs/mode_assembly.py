@@ -95,11 +95,13 @@ class Layout:
         return offs
 
     def pack(self, u, p, v, pf=None):
-        """Full-node arrays -> concatenated full vector."""
-        nfp = self.full_sizes[-1]
-        parts = [u[0], u[1], u[2], p, v[0], v[1], v[2],
-                 np.zeros(nfp, dtype=complex) if pf is None else pf]
-        return np.concatenate(parts)
+        """Full-node arrays -> concatenated full vectors (..., n_full), with
+        any leading axes (one per mode, say) kept; pf None means zero."""
+        lead = np.shape(p)[:-1]
+        if pf is None:
+            pf = np.zeros(lead + (self.full_sizes[-1],), dtype=complex)
+        return np.concatenate([np.reshape(u, lead + (-1,)), p,
+                               np.reshape(v, lead + (-1,)), pf], axis=-1)
 
     def unpack(self, x_free):
         """Free-DOF solution vectors (..., n_free) -> full nodal arrays
@@ -214,28 +216,33 @@ def elastic_split(mesh: VerticalMesh, mu: float, lam: float):
 
 
 def _step_entries(p, lay, dt, steady, kap1, kap2, degree):
-    """Entries (full-vector rows, cols, values) of the step matrix at the
-    symbols (kap1, kap2), keeping only the terms that carry `degree` powers
-    of the symbols: the forms see only their vertical matrices of that
-    degree, and the symbol-free terms (inertia, storage, interface
-    couplings) enter with degree 0."""
+    """Entries (full-vector rows, cols, values, time parts) of the step
+    matrix at the symbols (kap1, kap2), keeping only the terms that carry
+    `degree` powers of the symbols: the forms see only their vertical
+    matrices of that degree, and the symbol-free terms (inertia, storage,
+    interface couplings) enter with degree 0.  An entry's time part is what
+    the right-hand side also applies to the previous time level."""
     mb, mf = lay.mb, lay.mf
     b, f = _mats(mb), _mats(mf)
     gb, gf = _graded(b, degree), _graded(f, degree)
     const = degree == 0
     offs = lay.full_offsets()
-    rows, cols, vals = [], [], []
+    rows, cols, vals, times = [], [], [], []
 
-    def put(row_slot, col_slot, block):
+    def put(row_slot, col_slot, block, time=None):
+        """time: the block's time part, or True when all of it is one."""
         i, j = np.nonzero(block)
         rows.append(offs[SLOTS.index(row_slot)] + i)
         cols.append(offs[SLOTS.index(col_slot)] + j)
         vals.append(block[i, j])
+        times.append(vals[-1] if time is True else
+                     np.zeros(i.size) if time is None else time[i, j])
 
-    def put_point(row, col, value):
+    def put_point(row, col, value, time=False):
         rows.append([row])
         cols.append([col])
         vals.append([value])
+        times.append([value if time else 0.0])
 
     ub_if = [offs[a] + mb.interface_node(2) for a in range(3)]
     p_if = offs[3] + mb.interface_node(1)
@@ -243,12 +250,12 @@ def _step_entries(p, lay, dt, steady, kap1, kap2, degree):
 
     # --- E-rows: Biot momentum tested with xi ---
     aE = elastic_blocks(kap1, kap2, gb["M"], gb["K"], gb["Ct"], p.mu, p.lam)
-    visc_coeff = 1.0 if steady else 1.0 + p.delta / dt
+    kv = 0.0 if steady else p.delta / dt
     for a in range(3):
         for c in range(3):
-            put(f"u{a+1}", f"u{c+1}", visc_coeff * aE[a, c])
+            put(f"u{a+1}", f"u{c+1}", (1.0 + kv) * aE[a, c], kv * aE[a, c])
         if const and p.rho_b > 0 and not steady:
-            put(f"u{a+1}", f"u{a+1}", (p.rho_b / dt**2) * b["M"])
+            put(f"u{a+1}", f"u{a+1}", (p.rho_b / dt**2) * b["M"], True)
     # -alpha (p, div xi): Hermitian transpose of the divergence pairing
     dvb = divergence_blocks(kap1, kap2, gb["Mm"], gb["Cm"])
     for a in range(3):
@@ -260,20 +267,20 @@ def _step_entries(p, lay, dt, steady, kap1, kap2, degree):
         for j in range(2):
             put_point(ub_if[j], v_if[j], -p.beta)
             if not steady:
-                put_point(ub_if[j], ub_if[j], p.beta / dt)
+                put_point(ub_if[j], ub_if[j], p.beta / dt, True)
 
     # --- D-row: fluid content balance tested with q ---
     put("p", "p", p.k_perm * ((kap1**2 + kap2**2) * gb["Mp"] + gb["Kp"]))
     if not steady:
         if const and p.c0 > 0:
-            put("p", "p", (p.c0 / dt) * b["Mp"])
+            put("p", "p", (p.c0 / dt) * b["Mp"], True)
         for a in range(3):
-            put("p", f"u{a+1}", (p.alpha / dt) * dvb[a])
+            put("p", f"u{a+1}", (p.alpha / dt) * dvb[a], True)
     if const:
         # interface: -(v3(0) - Dt u3(0)) conj(q(0))
         put_point(p_if, v_if[2], -1.0)
         if not steady:
-            put_point(p_if, ub_if[2], 1.0 / dt)
+            put_point(p_if, ub_if[2], 1.0 / dt, True)
 
     # --- F-rows: Stokes momentum tested with zeta ---
     aV = elastic_blocks(kap1, kap2, gf["M"], gf["K"], gf["Ct"], p.nu, 0.0)
@@ -282,7 +289,7 @@ def _step_entries(p, lay, dt, steady, kap1, kap2, degree):
         for c in range(3):
             put(f"v{a+1}", f"v{c+1}", aV[a, c])
         if const and p.rho_f > 0 and not steady:
-            put(f"v{a+1}", f"v{a+1}", (p.rho_f / dt) * f["M"])
+            put(f"v{a+1}", f"v{a+1}", (p.rho_f / dt) * f["M"], True)
         put(f"v{a+1}", "pf", -dvf[a].conj().T)
     if const:
         # interface: +p(0) conj(zeta3(0))
@@ -291,14 +298,15 @@ def _step_entries(p, lay, dt, steady, kap1, kap2, degree):
         for j in range(2):
             put_point(v_if[j], v_if[j], p.beta)
             if not steady:
-                put_point(v_if[j], ub_if[j], -p.beta / dt)
+                put_point(v_if[j], ub_if[j], -p.beta / dt, True)
 
     # --- C-row: incompressibility tested with q_f ---
     for a in range(3):
         put("pf", f"v{a+1}", dvf[a])
 
     return (np.concatenate(rows), np.concatenate(cols),
-            np.concatenate(vals).astype(complex))
+            np.concatenate(vals).astype(complex),
+            np.concatenate(times).astype(complex))
 
 
 class StepCoefficients:
@@ -311,6 +319,10 @@ class StepCoefficients:
     kap1*kap2 is the half-difference of two evaluations that agree on every
     entry without that monomial.  The pattern fixes the half-bandwidths
     kl, ku and, in CSR order, the LAPACK band position of every entry.
+
+    The time terms of the same evaluations give the prior-level operator
+    B(kap) = A(kap) - A_steady(kap), split the same way: `prior` holds, per
+    monomial, the rows where B_m has entries and B_m on those rows as CSR.
     """
 
     def __init__(self, p: PhysicalParams, mb: VerticalMesh, mf: VerticalMesh,
@@ -327,22 +339,32 @@ class StepCoefficients:
 
         entries = []
         for kap1, kap2, degree in _EVALUATIONS:
-            r, c, v = _step_entries(p, lay, dt, steady, kap1, kap2, degree)
+            r, c, v, t = _step_entries(p, lay, dt, steady, kap1, kap2, degree)
             r, c = position[r], position[c]
             free = (r >= 0) & (c >= 0)
-            entries.append((r[free] * n + c[free], v[free]))
-        keys, slot = np.unique(np.concatenate([k for k, _ in entries]),
+            entries.append((r[free] * n + c[free], v[free], t[free]))
+        keys, slot = np.unique(np.concatenate([k for k, _, _ in entries]),
                                return_inverse=True)
-        evals = np.zeros((len(entries), keys.size), dtype=complex)
+        # all of each evaluation (A) and its time parts (B)
+        evals = np.zeros((2, len(entries), keys.size), dtype=complex)
         start = 0
-        for row, (k, v) in zip(evals, entries):
-            np.add.at(row, slot[start:start + k.size], v)
+        for i, (k, v, t) in enumerate(entries):
+            np.add.at(evals[0, i], slot[start:start + k.size], v)
+            np.add.at(evals[1, i], slot[start:start + k.size], t)
             start += k.size
-        coeffs = np.vstack([evals[:5], (evals[5] - evals[6]) / 2])
-        nonzero = np.any(coeffs != 0, axis=0)
+        coeffs, prior = (np.vstack([e[:5], (e[5] - e[6]) / 2]) for e in evals)
+        rows, cols = np.divmod(keys, n)           # row-major: CSR order
+        self.prior = []
+        for b in prior:
+            keep = b != 0
+            held, counts = np.unique(rows[keep], return_counts=True)
+            self.prior.append((held, scipy.sparse.csr_matrix(
+                (b[keep], cols[keep], np.append(0, np.cumsum(counts))),
+                shape=(held.size, n))))
 
+        nonzero = np.any(coeffs != 0, axis=0)
         self.values = coeffs[:, nonzero]          # (len(MONOMIALS), nnz)
-        rows, cols = np.divmod(keys[nonzero], n)  # row-major: CSR order
+        rows, cols = rows[nonzero], cols[nonzero]
         self.indices = cols.astype(np.int32)
         self.indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
         self.kl = int((rows - cols).max())
@@ -377,21 +399,23 @@ def mode_symbols(modes):
     return TWO_PI * k[:, 0], TWO_PI * k[:, 1]
 
 
-def build_step_rhs(kap1, kap2, p: PhysicalParams, lay: Layout, dt: float,
-                   prior=None, sources=None, loads=None, interface_data=None,
-                   steady: bool = False) -> np.ndarray:
+def build_step_rhs(kap1, kap2, coeffs: StepCoefficients, prior=None,
+                   sources=None, loads=None, interface_data=None) -> np.ndarray:
     """Right-hand sides of the step systems of many modes at once, as a
     (modes, n_free) array in Layout.free_indices order.
 
     kap1, kap2: (modes,) lateral symbols.  Every other array is mode-major.
     prior: (u, w, p_b, v) of the previous time level with shapes
     (modes, 3, nbu), (modes, 3, nbu) or None when rho_b = 0, (modes, nbp) and
-    (modes, 3, nfu).  sources: (Fb, S, Ff) mode coefficients on the fields'
-    nodal grids (multiplied by mass matrices here); loads: (Lb, LS, Lf)
-    pre-integrated mode load vectors added verbatim; in both any entry may be
-    None.  interface_data: manufactured interface defects (g1, g2, g3, g4)
-    with shapes (modes,), (modes, 2), (modes, 3) and (modes,).
+    (modes, 3, nfu); it enters as B(kap) x + (rho_b/dt) M w, with x its free
+    DOFs and B the prior-level operator of `coeffs` (zero when steady).
+    sources: (Fb, S, Ff) mode coefficients on the fields' nodal grids
+    (multiplied by mass matrices here); loads: (Lb, LS, Lf) pre-integrated
+    mode load vectors added verbatim; in both any entry may be None.
+    interface_data: manufactured interface defects (g1, g2, g3, g4) with
+    shapes (modes,), (modes, 2), (modes, 3) and (modes,).
     """
+    lay = coeffs.layout
     mb, mf = lay.mb, lay.mf
     b = _mats(mb)
     f = _mats(mf)
@@ -425,27 +449,10 @@ def build_step_rhs(kap1, kap2, p: PhysicalParams, lay: Layout, dt: float,
         if Lf is not None:
             rv += Lf
 
-    if prior is not None and not steady:
+    if prior is not None:
         un, wn, pn, vn = prior
-        if p.rho_b > 0:
-            uw = un if wn is None else un + dt * wn
-            ru += (p.rho_b / dt**2) * (uw @ b["M"].T)
-        if p.delta > 0:
-            # (delta/dt) a_E(u^n, xi) over the contiguous u1, u2, u3 slots
-            u_flat = un.reshape(len(kap1), -1).T
-            weights = monomial_weights(kap1, kap2)
-            aE_un = sum((A @ u_flat) * c for c, A in zip(
-                weights.T, elastic_split(mb, p.mu, p.lam)))
-            rhs[:, offs[0]:offs[3]] += (p.delta / dt) * aE_un.T
-        if p.c0 > 0:
-            rp += (p.c0 / dt) * (pn @ b["Mp"].T)
-        rp += (p.alpha / dt) * divergence_modes(kap1, kap2, un, b["Mm"],
-                                                b["Cm"])
-        rhs[:, p_if] += un[:, 2, ib] / dt
-        rhs[:, ub_if[:2]] += (p.beta / dt) * un[:, :2, ib]
-        rhs[:, v_if[:2]] -= (p.beta / dt) * un[:, :2, ib]
-        if p.rho_f > 0:
-            rv += (p.rho_f / dt) * (vn @ f["M"].T)
+        if wn is not None and not coeffs.steady:
+            ru += (coeffs.params.rho_b / coeffs.dt) * (wn @ b["M"].T)
 
     if interface_data is not None:
         g1, g2, g3, g4 = interface_data
@@ -458,7 +465,16 @@ def build_step_rhs(kap1, kap2, p: PhysicalParams, lay: Layout, dt: float,
         rhs[:, v_if[2]] += g4
         rhs[:, p_if] += g1
 
-    return rhs[:, lay.free_indices()]
+    rhs = rhs[:, lay.free_indices()]
+    if prior is not None:
+        # sum over MONOMIALS of kap**m * (B_m x), each product over the rows
+        # B_m touches, in (n_free, modes) layout
+        x = np.ascontiguousarray(lay.pack(un, pn, vn)[:, lay.free_indices()].T)
+        bx = np.zeros_like(x)
+        for c, (rows, B) in zip(monomial_weights(kap1, kap2).T, coeffs.prior):
+            bx[rows] += c * (B @ x)
+        rhs += bx.T
+    return rhs
 
 
 class ModeOperator:

@@ -10,7 +10,7 @@ lateral discretization is exact and studies isolate vertical/temporal error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import sympy as sp
@@ -230,14 +230,10 @@ def error_norms(s: State, exact: State, p: PhysicalParams) -> dict:
     from .energy import (elastic_norm_sq, grad_norm_sq, l2_norm_sq,
                          viscous_norm_sq)
 
-    du = s.u.copy()
-    du.data[:] = s.u.data - exact.u.data
-    dp = s.p_b.copy()
-    dp.data[:] = s.p_b.data - exact.p_b.data
-    dv = s.v.copy()
-    dv.data[:] = s.v.data - exact.v.data
-    dpf = s.p_f.copy()
-    dpf.data[:] = s.p_f.data - exact.p_f.data
+    du = replace(s.u, data=s.u.data - exact.u.data)
+    dp = replace(s.p_b, data=s.p_b.data - exact.p_b.data)
+    dv = replace(s.v, data=s.v.data - exact.v.data)
+    dpf = replace(s.p_f, data=s.p_f.data - exact.p_f.data)
     return {
         "u": np.sqrt(max(elastic_norm_sq(du, p), 0.0)),
         "p_b": np.sqrt(max(grad_norm_sq(dp) + l2_norm_sq(dp), 0.0)),

@@ -157,8 +157,8 @@ def test_step_is_linear_in_prior(rng):
         return (u, w, p, v)
 
     def solve(prior):
-        rhs = build_step_rhs(kap1, kap2, coeffs.params, coeffs.layout,
-                             coeffs.dt, prior=tuple(a[None] for a in prior))
+        rhs = build_step_rhs(kap1, kap2, coeffs,
+                             prior=tuple(a[None] for a in prior))
         x, res = op.step(rhs[0])
         assert res <= 1e-11
         return op.layout.unpack(x)
@@ -310,6 +310,48 @@ def test_oracle_matches_pipeline(rng, regime):
         scale = max(np.abs(oracle).max(), 1e-12)
         assert np.abs(oracle.imag).max() < 1e-9 * scale
         assert np.abs(mine - oracle.real).max() < 1e-9 * scale
+
+
+def _prior_rhs(coeffs, mode, prior):
+    """build_step_rhs of one mode with only a prior level."""
+    kap1, kap2 = mode_symbols([mode])
+    return build_step_rhs(kap1, kap2, coeffs, prior=tuple(
+        None if a is None else a[None] for a in prior))[0]
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_prior_enters_through_the_time_terms_of_the_step_matrix(rng, regime):
+    """The prior level's part of the right-hand side is
+    (A - A_steady) x + (rho_b/dt) M w, with A and A_steady the transient and
+    steady step matrices; with steady coefficients the prior contributes
+    nothing."""
+    p = make_params(**regime)
+    dt = 1 / 16
+    mode = ModeIndex(1, -2)
+    transient = StepCoefficients(p, MB, MF, dt)
+    steady = StepCoefficients(p, MB, MF, dt, steady=True)
+    lay = transient.layout
+    free = lay.free_indices()
+
+    def rand(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    u, w = rand(3, MB.n_nodes(2)), rand(3, MB.n_nodes(2))
+    pb, v = rand(MB.n_nodes(1)), rand(3, MF.n_nodes(2))
+    u[:, MB.clamped_node(2)] = 0
+    w[:, MB.clamped_node(2)] = 0
+    pb[MB.clamped_node(1)] = 0
+    v[:, MF.clamped_node(2)] = 0
+    prior = (u, w if p.rho_b > 0 else None, pb, v)
+
+    B = build_step_matrix(mode, transient) - build_step_matrix(mode, steady)
+    expected = B @ lay.pack(u, pb, v)[free]
+    if p.rho_b > 0:
+        Mw = w @ _mats(MB)["M"].T
+        expected += (p.rho_b / dt) * lay.pack(Mw, 0 * pb, 0 * v)[free]
+    got = _prior_rhs(transient, mode, prior)
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+    assert not _prior_rhs(steady, mode, prior).any()
 
 
 def test_oracle_rejects_large_grids():
