@@ -3,7 +3,8 @@ residuals, and the generator dissipativity certificate.
 
 All norms are Parseval mode sums: a weighted sum over stored modes of
 profile^H * (vertical quadratic form) * profile, with weight 2 for modes whose
-conjugate partner is not stored.
+conjugate partner is not stored.  They take fields whose data carry leading
+(time level) axes and then return one value per level.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .config import PhysicalParams, SourceSpec
 from .errors import BalanceViolation
-from .fem1d import evaluate_derivative, mass
+from .fem1d import evaluate_derivative, mass, operator_matrix
 from .mode_assembly import (MONOMIALS, _mats, divergence_blocks,
                             elastic_split, monomial_weights)
 from .spectral import (SpectralField, lateral_l2_norm_sq, mode_table,
@@ -39,71 +41,99 @@ def _mode_monomials(n1: int, n2: int) -> np.ndarray:
     return powers
 
 
-def _parseval_form(fld: SpectralField, terms) -> float:
+def _value(out):
+    """A per-level result as a Python float when there is one level and no
+    leading axis, else as the array of one value per level."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _parseval_form(fld: SpectralField, terms):
     """Sum over stored modes of weight * Re(profile^H A(kap) profile) for
     A(kap) = sum over terms (c, A) of c * A, where A is a mode-independent
-    matrix on the component-major profile and c its per-mode (or constant)
-    coefficient: one product per term with the (ncomp * nn, modes) profile
-    matrix."""
+    (sparse) matrix on the component-major profile and c its per-mode (or
+    constant) coefficient.
+
+    Any leading axes of fld.data (time levels, say) are kept: the result has
+    one value per level, or is a float without them.  Each term is one
+    product with the C-contiguous (ncomp * nn, levels * modes) profile matrix
+    P, and Re(P^H A P) per column is a real dot product of the two matrices
+    viewed as interleaved (re, im) pairs, so no conjugate is formed."""
+    lead = fld.data.shape[:-4]
     n1, n2 = fld.lateral_shape
-    P = fld.data.reshape(-1, fld.data[0, 0].size).T
-    quad = sum(c * np.einsum("im,im->m", P.conj(), A @ P).real
-               for c, A in terms)
-    return float(np.repeat(mode_weights(n1, n2), n2) @ quad)
+    size = fld.data.shape[-2] * fld.data.shape[-1]
+    P = np.ascontiguousarray(fld.data.reshape(-1, size).T)
+    Pr = P.view(float)
+    quad = 0.0
+    for c, A in terms:
+        re = np.einsum("ij,ij->j", Pr, (A @ P).view(float))
+        re = re.reshape(-1, 2).sum(axis=1).reshape(lead + (-1,))
+        quad = quad + c * re
+    return _value(quad @ np.repeat(mode_weights(n1, n2), n2))
 
 
-def elastic_norm_sq(u: SpectralField, p: PhysicalParams) -> float:
+@lru_cache(maxsize=None)
+def _gram(mesh, degree: int, ncomp: int = 1, derivative: int = 0):
+    """Sparse (banded) vertical Gram matrix of the values (derivative 0) or
+    derivatives (1) of a degree-`degree` field, block-diagonal over its
+    `ncomp` components on the component-major profile."""
+    G = scipy.sparse.csr_matrix(
+        operator_matrix(mesh, degree, degree, derivative, derivative))
+    return scipy.sparse.kron(scipy.sparse.identity(ncomp), G, format="csr")
+
+
+def elastic_norm_sq(u: SpectralField, p: PhysicalParams):
     """a_E(u, u) = 2 mu ||D(u)||^2 + lam ||div u||^2 over all modes at once,
-    from the monomial split of the form."""
+    from the monomial split of the form (per level of any leading axes)."""
     return _parseval_form(u, zip(_mode_monomials(*u.lateral_shape).T,
                                  elastic_split(u.mesh, p.mu, p.lam)))
 
 
-def viscous_norm_sq(v: SpectralField, nu: float) -> float:
+def viscous_norm_sq(v: SpectralField, nu: float):
     """2 nu ||D(v)||^2 (the Stokes dissipation quadratic form)."""
     return _parseval_form(v, zip(_mode_monomials(*v.lateral_shape).T,
                                  elastic_split(v.mesh, nu, 0.0)))
 
 
-def grad_norm_sq(p_b: SpectralField) -> float:
+def grad_norm_sq(p_b: SpectralField):
     """||grad p||^2 with lateral symbols: sum kappa^2 |p|^2 + |p'|^2."""
-    mats = _mats(p_b.mesh)
     powers = _mode_monomials(*p_b.lateral_shape)
     kap_sq = powers[:, _K11] + powers[:, _K22]
-    return _parseval_form(p_b, ((1.0, mats["Kp"]), (kap_sq, mats["Mp"])))
+    return _parseval_form(p_b, ((1.0, _gram(p_b.mesh, 1, derivative=1)),
+                                (kap_sq, _gram(p_b.mesh, 1))))
 
 
-def l2_norm_sq(fld: SpectralField) -> float:
-    gram = mass(fld.mesh, fld.degree)
-    return lateral_l2_norm_sq(fld, gram)
+def l2_norm_sq(fld: SpectralField):
+    return _parseval_form(fld, ((1.0, _gram(fld.mesh, fld.degree,
+                                            fld.ncomp)),))
 
 
 def l2_norm(fld: SpectralField) -> float:
     return float(np.sqrt(max(l2_norm_sq(fld), 0.0)))
 
 
-def _trace_norm_sq(values) -> float:
+def _trace_norm_sq(values):
     """Parseval sum of squared interface trace coefficients, values shape
-    (..., n1h, n2), summed over any leading axes (components, say)."""
-    n1h, n2 = values.shape[-2:]
+    (..., n1h, n2, ncomp), summed over modes and components; any leading
+    (level) axes are kept."""
+    n1h, n2 = values.shape[-3:-1]
     w = mode_weights(2 * (n1h - 1), n2)
-    return float(np.sum(w[:, None] * np.abs(values) ** 2))
+    return _value((np.abs(values) ** 2).sum(axis=(-2, -1)) @ w)
 
 
 def _slip_trace(s_prev, s_next, dt):
     """Tangential slip coefficients (v^{n+1} - Dt u) . e_j at x3 = 0,
-    shape (2, n1h, n2)."""
+    shape (..., n1h, n2, 2) with any leading (level) axes kept."""
     iu = s_next.u.mesh.interface_node(2)
     iv = s_next.v.mesh.interface_node(2)
-    dtu = (s_next.u.data[:, :, :2, iu] - s_prev.u.data[:, :, :2, iu]) / dt
-    return np.moveaxis(s_next.v.data[:, :, :2, iv] - dtu, -1, 0)
+    dtu = (s_next.u.data[..., :2, iu] - s_prev.u.data[..., :2, iu]) / dt
+    return s_next.v.data[..., :2, iv] - dtu
 
 
-def slip_norm(s_prev, s_next, dt) -> float:
-    return float(np.sqrt(_trace_norm_sq(_slip_trace(s_prev, s_next, dt))))
+def slip_norm(s_prev, s_next, dt):
+    return _value(np.sqrt(_trace_norm_sq(_slip_trace(s_prev, s_next, dt))))
 
 
-def energy(s, p: PhysicalParams) -> float:
+def energy(s, p: PhysicalParams):
     """e = (1/2)[rho_b ||w||^2 + ||u||_E^2 + c0 ||p_b||^2 + rho_f ||v||^2]."""
     e = elastic_norm_sq(s.u, p)
     if p.rho_b > 0 and s.w is not None:
@@ -115,7 +145,7 @@ def energy(s, p: PhysicalParams) -> float:
     return 0.5 * e
 
 
-def dissipation_increment(s_prev, s_next, p: PhysicalParams, dt) -> float:
+def dissipation_increment(s_prev, s_next, p: PhysicalParams, dt):
     """d_inc = dt [delta ||Dt u||_E^2 + k ||grad p^{n+1}||^2
     + 2 nu ||D(v^{n+1})||^2 + beta ||slip||^2_interface]."""
     total = p.k_perm * grad_norm_sq(s_next.p_b) \
@@ -142,11 +172,71 @@ class EnergyReport:
 _BREAKDOWN_KEYS = ("elastic", "storage", "kinetic_b", "kinetic_f",
                    "darcy", "viscous", "slip", "kelvin_voigt")
 
+# Time levels per audit block.  Each block's norms are one product per form
+# term; the block (with the level before it) is stacked in memory, so the
+# audit's peak memory grows with this, not with the trajectory length.
+_BLOCK = 8
+
+_FIELDS = ("u", "w", "p_b", "v", "p_f")
+
+
+def _stack(states):
+    """One state whose fields carry the given states' levels on a leading
+    axis (and whose t is the array of their times)."""
+    fields = {k: None if getattr(states[0], k) is None else replace(
+        getattr(states[0], k),
+        data=np.stack([getattr(s, k).data for s in states]))
+        for k in _FIELDS}
+    return replace(states[0], t=np.array([s.t for s in states]), **fields)
+
+
+def _levels(s, sl):
+    """The levels `sl` (a slice) of a stacked state, as views."""
+    fields = {k: None if getattr(s, k) is None else replace(
+        getattr(s, k), data=getattr(s, k).data[sl]) for k in _FIELDS}
+    return replace(s, t=s.t[sl], **fields)
+
+
+def _level_terms(s, p: PhysicalParams) -> dict:
+    """The breakdown terms of each level of a stacked state.  A term whose
+    coefficient (c0, rho_b or rho_f) vanishes is zero and is not
+    evaluated."""
+    zeros = np.zeros(len(s.t))
+
+    def term(coef, norm, *args):
+        return coef * norm(*args) if coef else zeros
+
+    return {
+        "elastic": 0.5 * elastic_norm_sq(s.u, p),
+        "storage": term(0.5 * p.c0, l2_norm_sq, s.p_b),
+        # w is None iff rho_b = 0
+        "kinetic_b": term(0.5 * p.rho_b, l2_norm_sq, s.w),
+        "kinetic_f": term(0.5 * p.rho_f, l2_norm_sq, s.v),
+        "darcy": p.k_perm * grad_norm_sq(s.p_b),
+        "viscous": viscous_norm_sq(s.v, p.nu),
+    }
+
+
+def _increment_terms(prev, nxt, p: PhysicalParams, dt) -> dict:
+    """The breakdown terms of each increment prev -> nxt of stacked states;
+    the Kelvin-Voigt term is zero, not evaluated, when delta = 0."""
+    kv = np.zeros(len(nxt.t))
+    if p.delta > 0:
+        du = replace(nxt.u, data=(nxt.u.data - prev.u.data) / dt)
+        kv = p.delta * elastic_norm_sq(du, p)
+    return {"slip": p.beta * _trace_norm_sq(_slip_trace(prev, nxt, dt)),
+            "kelvin_voigt": kv}
+
 
 def audit(traj, p: PhysicalParams, sources: SourceSpec = None) -> EnergyReport:
     """Populate the per-step balance report from the trajectory's states,
     sampling each step's sources once.  For source-free runs asserts the
-    dissipation inequality e_n + d_n <= e_0 up to roundoff tolerance."""
+    dissipation inequality e_n + d_n <= e_0 up to roundoff tolerance.
+
+    The norms are evaluated over blocks of _BLOCK levels, stacked with the
+    level before each block for the increments.  The sums, the source work
+    and the balance check run level by level, so a violation is raised at
+    the first level that breaks the inequality."""
     states = traj.states
     dt = states[1].t - states[0].t if len(states) > 1 else 0.0
     rep = EnergyReport(breakdown={k: [] for k in _BREAKDOWN_KEYS})
@@ -156,44 +246,46 @@ def audit(traj, p: PhysicalParams, sources: SourceSpec = None) -> EnergyReport:
     sampled = []
     d_cum = 0.0
     work = 0.0
-    for n, s in enumerate(states):
-        e_n = energy(s, p)
-        if n == 0:
-            e0 = e_n
-            tol = 1e-10 * max(e0, 1.0)
-        else:
-            prev = states[n - 1]
-            d_cum += dissipation_increment(prev, s, p, dt)
-            if not source_free:
-                sampled.append(sample_sources(sources, n1, n2, mb, mf, s.t))
-                work += dt * _source_work(prev, s, sampled[-1], dt)
-        r_n = e_n + d_cum - e0 - work
-        if source_free and r_n > tol:
-            raise BalanceViolation(n, r_n)
-        rep.times.append(s.t)
-        rep.e.append(e_n)
-        rep.d_cum.append(d_cum)
-        rep.residual.append(r_n)
-        rep.slip.append(slip_norm(states[max(n - 1, 0)], s, dt) if n else 0.0)
-        bd = rep.breakdown
-        bd["elastic"].append(0.5 * elastic_norm_sq(s.u, p))
-        bd["storage"].append(0.5 * p.c0 * l2_norm_sq(s.p_b))
-        bd["kinetic_b"].append(
-            0.5 * p.rho_b * l2_norm_sq(s.w) if s.w is not None else 0.0)
-        bd["kinetic_f"].append(0.5 * p.rho_f * l2_norm_sq(s.v))
-        bd["darcy"].append(p.k_perm * grad_norm_sq(s.p_b))
-        bd["viscous"].append(viscous_norm_sq(s.v, p.nu))
-        if n:
-            bd["slip"].append(
-                p.beta * _trace_norm_sq(_slip_trace(states[n - 1], s, dt)))
-            if p.delta > 0:
-                du = replace(s.u, data=(s.u.data - states[n - 1].u.data) / dt)
-                bd["kelvin_voigt"].append(p.delta * elastic_norm_sq(du, p))
+    inc_terms = {"slip": (), "kelvin_voigt": ()}  # none before level 1
+    for start in range(0, len(states), _BLOCK):
+        lo = max(start - 1, 0)
+        blk = _stack(states[lo:start + _BLOCK])
+        cur = _levels(blk, slice(start - lo, None))
+        e = energy(cur, p).tolist()
+        terms = {k: v.tolist() for k, v in _level_terms(cur, p).items()}
+        if len(blk.t) > 1:
+            # increment j of the block ends at its level lo + 1 + j
+            prev = _levels(blk, slice(None, -1))
+            nxt = _levels(blk, slice(1, None))
+            d_inc = dissipation_increment(prev, nxt, p, dt).tolist()
+            slip = slip_norm(prev, nxt, dt).tolist()
+            inc_terms = {k: v.tolist() for k, v
+                         in _increment_terms(prev, nxt, p, dt).items()}
+        for i, s in enumerate(states[start:start + _BLOCK]):
+            n = start + i
+            j = n - lo - 1
+            if n == 0:
+                e0 = e[0]
+                tol = 1e-10 * max(e0, 1.0)
             else:
-                bd["kelvin_voigt"].append(0.0)
-        else:
-            bd["slip"].append(0.0)
-            bd["kelvin_voigt"].append(0.0)
+                d_cum += d_inc[j]
+                if not source_free:
+                    sampled.append(
+                        sample_sources(sources, n1, n2, mb, mf, s.t))
+                    work += dt * _source_work(states[n - 1], s, sampled[-1],
+                                              dt)
+            r_n = e[i] + d_cum - e0 - work
+            if source_free and r_n > tol:
+                raise BalanceViolation(n, r_n)
+            rep.times.append(s.t)
+            rep.e.append(e[i])
+            rep.d_cum.append(d_cum)
+            rep.residual.append(r_n)
+            rep.slip.append(slip[j] if n else 0.0)
+            for k, vals in terms.items():
+                rep.breakdown[k].append(vals[i])
+            for k, vals in inc_terms.items():
+                rep.breakdown[k].append(vals[j] if n else 0.0)
     if not source_free:
         bound = e0 + _dual_source_quadrature(states[0], p, sampled, dt)
         peak = max(en + dn for en, dn in zip(rep.e, rep.d_cum))
@@ -205,8 +297,8 @@ def _pairing(load_field, state_field, gram) -> float:
     """Real L2 pairing of a sampled source with a state field, by modes."""
     n1, n2 = state_field.lateral_shape
     w = parseval_weights_grid(n1, n2)
-    vals = np.einsum("kjcn,nm,kjcm->kj", np.conj(state_field.data), gram,
-                     load_field.data).real
+    vals = np.einsum("kjcn,kjcn->kj", np.conj(state_field.data),
+                     load_field.data @ gram.T).real
     return float(np.sum(w * vals))
 
 
@@ -273,10 +365,11 @@ def _dual_source_quadrature(s0, p, sampled, dt):
         nn = mf.n_nodes(2)
         vidx = np.flatnonzero(mf.free_mask(2))
         free = np.concatenate([a * nn + vidx for a in range(3)])
-        split = [A[free][:, free] for A in elastic_split(mf, p.nu, 0.0)]
+        split = np.stack([A[free][:, free].toarray()
+                          for A in elastic_split(mf, p.nu, 0.0)])
 
         def viscous_setup(idx):
-            AV = sum(c * A for c, A in zip(powers[idx], split)).toarray()
+            AV = np.tensordot(powers[idx], split, 1)
             dv = divergence_blocks(powers[idx, _K1], powers[idx, _K2],
                                    fm["Mm"], fm["Cm"])
             DivF = np.hstack([np.asarray(dd, dtype=complex)[:, vidx]
@@ -311,9 +404,10 @@ def interface_residuals(s_prev, s_next, p: PhysicalParams, dt):
     ipb = mb.interface_node(1)
     ipf = mf.interface_node(1)
     n1h = n1 // 2 + 1
-    r1 = np.zeros((n1h, n2), dtype=complex)
-    r2 = np.zeros((2, n1h, n2), dtype=complex)
-    r4 = np.zeros((n1h, n2), dtype=complex)
+    # traces (n1h, n2, ncomp), as _trace_norm_sq takes them
+    r1 = np.zeros((n1h, n2, 1), dtype=complex)
+    r2 = np.zeros((n1h, n2, 2), dtype=complex)
+    r4 = np.zeros((n1h, n2, 1), dtype=complex)
     dtu = (s_next.u.data - s_prev.u.data) / dt
     for idx, m in enumerate(mode_table(n1, n2)):
         k1i, j = divmod(idx, n2)
@@ -328,7 +422,7 @@ def interface_residuals(s_prev, s_next, p: PhysicalParams, dt):
         slip = [v[a][iv] - dtu[k1i, j, a, iu] for a in range(2)]
         r1[k1i, j] = -p.k_perm * dpb - (v[2][iv] - dtu[k1i, j, 2, iu])
         for a in range(2):
-            r2[a, k1i, j] = p.beta * slip[a] \
+            r2[k1i, j, a] = p.beta * slip[a] \
                 + p.nu * (dv[a] + 1j * kap[a] * v[2][iv])
         r4[k1i, j] = pb[ipb] - s_next.p_f.data[k1i, j, 0, ipf] \
             + 2.0 * p.nu * dv[2]

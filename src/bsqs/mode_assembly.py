@@ -53,7 +53,7 @@ class Layout:
         nfp = self.mf.n_nodes(1)
         return (nbu, nbu, nbu, nbp, nfu, nfu, nfu, nfp)
 
-    @property
+    @cached_property
     def free_masks(self):
         ub = self.mb.free_mask(2)
         pb = self.mb.free_mask(1)
@@ -61,7 +61,7 @@ class Layout:
         pf = np.ones(self.mf.n_nodes(1), dtype=bool)
         return (ub, ub, ub, pb, vf, vf, vf, pf)
 
-    @property
+    @cached_property
     def n_free(self):
         return sum(int(m.sum()) for m in self.free_masks)
 

@@ -59,7 +59,9 @@ class SpectralField:
     """Half-spectrum coefficients of one field.
 
     data has shape (n1//2 + 1, n2, ncomp, n_nodes): mode coefficients of the
-    vertical nodal profile per component.  Scalar fields use ncomp = 1.
+    vertical nodal profile per component.  Scalar fields use ncomp = 1.  The
+    energy norms also accept leading axes (..., n1//2 + 1, n2, ncomp,
+    n_nodes), one per stacked time level, say.
     """
 
     mesh: VerticalMesh
@@ -68,11 +70,11 @@ class SpectralField:
 
     @property
     def ncomp(self):
-        return self.data.shape[2]
+        return self.data.shape[-2]
 
     @property
     def lateral_shape(self):
-        n1h, n2 = self.data.shape[:2]
+        n1h, n2 = self.data.shape[-4:-2]
         return (2 * (n1h - 1), n2)
 
     def copy(self):
@@ -195,6 +197,6 @@ def lateral_l2_norm_sq(field: SpectralField, vertical_gram: np.ndarray) -> float
     profile^H * G * profile with the supplied vertical Gram matrix."""
     n1, n2 = field.lateral_shape
     w = parseval_weights_grid(n1, n2)
-    quad = np.einsum("kjcn,nm,kjcm->kj", np.conj(field.data), vertical_gram,
-                     field.data).real
+    quad = np.einsum("kjcn,kjcn->kj", np.conj(field.data),
+                     field.data @ vertical_gram.T).real
     return float(np.sum(w * quad))

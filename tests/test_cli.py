@@ -110,20 +110,22 @@ def test_audit_command(config_file, tmp_path):
 def test_run_evaluates_energy_once_per_state(config_file, tmp_path,
                                              monkeypatch):
     """run() only integrates; the audit is the one diagnostics pass, so each
-    of the 4 + 1 states has its energy evaluated once."""
+    of the 4 + 1 states has its energy evaluated once.  The audit passes
+    blocks of levels stacked on a leading axis, so the levels are counted,
+    not the calls."""
     import bsqs.energy
 
-    calls = []
+    levels = []
     energy = bsqs.energy.energy
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return energy(*args, **kwargs)
+    def counted(s, *args, **kwargs):
+        levels.append(int(np.prod(s.u.data.shape[:-4])))
+        return energy(s, *args, **kwargs)
 
     monkeypatch.setattr(bsqs.energy, "energy", counted)
     assert main(["run", "--config", str(config_file),
                  "--out", str(tmp_path / "out"), "--quiet"]) == 0
-    assert len(calls) == 4 + 1
+    assert sum(levels) == 4 + 1
 
 
 def test_run_and_audit_write_the_same_energy_csv(config_file, tmp_path):

@@ -100,10 +100,11 @@ def elastic_form(mesh, mu, lam):
     return form
 
 
-def random_field(rng, mesh, degree, n1, n2, ncomp):
+def random_field(rng, mesh, degree, n1, n2, ncomp, lead=()):
     """Random complex coefficients in every stored mode, Nyquist included
-    (not Hermitian on the self-conjugate columns)."""
-    shape = (n1 // 2 + 1, n2, ncomp, mesh.n_nodes(degree))
+    (not Hermitian on the self-conjugate columns), with optional leading
+    (level) axes."""
+    shape = lead + (n1 // 2 + 1, n2, ncomp, mesh.n_nodes(degree))
     data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return SpectralField(mesh, degree, data)
 
@@ -122,9 +123,58 @@ def test_norms_match_per_mode_block_forms(rng, n1, n2, nb, nf):
         (en.viscous_norm_sq(v, 0.4), per_mode_form(v, elastic_form(mf, 0.4, 0.0))),
         (en.grad_norm_sq(pb), per_mode_form(
             pb, lambda k1, k2: (k1**2 + k2**2) * mats["Mp"] + mats["Kp"])),
+        (en.l2_norm_sq(v), per_mode_form(
+            v, lambda k1, k2: np.kron(np.eye(3), _mats(mf)["M"]))),
+        (en.l2_norm_sq(pb), per_mode_form(pb, lambda k1, k2: mats["Mp"])),
     ]
     for fast, slow in cases:
         assert fast == pytest.approx(slow, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n1, n2, nb, nf", [(4, 4, 8, 8), (6, 4, 4, 8),
+                                            (8, 8, 16, 16)])
+def test_norms_over_stacked_levels_match_single_level_calls(rng, n1, n2, nb,
+                                                            nf):
+    """Fields whose data carry leading (level) axes get one value per level,
+    equal to the single-level call on that level, which returns a float."""
+    from dataclasses import replace
+    from bsqs.integrator import State
+    mb, mf = VerticalMesh("biot", nb), VerticalMesh("fluid", nf)
+    p = make_params(mu=1.3, lam=0.7, nu=0.4)
+    dt = 0.1
+    lead = (2, 3)
+
+    def stacked_state():
+        return State(0.0, random_field(rng, mb, 2, n1, n2, 3, lead),
+                     random_field(rng, mb, 2, n1, n2, 3, lead),
+                     random_field(rng, mb, 1, n1, n2, 1, lead),
+                     random_field(rng, mf, 2, n1, n2, 3, lead),
+                     random_field(rng, mf, 1, n1, n2, 1, lead))
+
+    def level(s, idx):
+        return replace(s, **{k: replace(getattr(s, k),
+                                        data=getattr(s, k).data[idx])
+                             for k in ("u", "w", "p_b", "v", "p_f")})
+
+    prev, nxt = stacked_state(), stacked_state()
+    functions = [
+        lambda a, b: en.elastic_norm_sq(b.u, p),
+        lambda a, b: en.viscous_norm_sq(b.v, p.nu),
+        lambda a, b: en.grad_norm_sq(b.p_b),
+        lambda a, b: en.l2_norm_sq(b.v),
+        lambda a, b: en.l2_norm_sq(b.p_b),
+        lambda a, b: en._trace_norm_sq(en._slip_trace(a, b, dt)),
+        lambda a, b: en.energy(b, p),
+        lambda a, b: en.dissipation_increment(a, b, p, dt),
+        lambda a, b: en.slip_norm(a, b, dt),
+    ]
+    for f in functions:
+        block = f(prev, nxt)
+        assert block.shape == lead
+        for idx in np.ndindex(*lead):
+            one = f(level(prev, idx), level(nxt, idx))
+            assert type(one) is float
+            assert block[idx] == pytest.approx(one, rel=1e-13, abs=0.0)
 
 
 REGIMES_16 = [dict(zip(("rho_b", "rho_f", "delta", "c0"),
@@ -154,6 +204,47 @@ def test_audit_detects_injected_violation():
     traj.states[-1].u.data *= 10.0
     with pytest.raises(BalanceViolation):
         en.audit(traj, cfg.params)
+
+
+def test_audit_blocks_match_single_level_calls(monkeypatch):
+    """Across a block boundary (11 levels: blocks of 8 and 3, the second
+    stacked with the level before it) the audit's e, d, slip and
+    Kelvin-Voigt term equal single-level calls, and each level's energy is
+    evaluated once."""
+    from dataclasses import replace
+    cfg = make_config(t_end=10 / 16)
+    p, dt = cfg.params, cfg.disc.dt
+    fns = smooth_initial_callables(alpha=p.alpha)
+    traj = run(cfg, InitialData.from_callables(cfg, **fns))
+    states = traj.states
+    assert len(states) == 11
+    levels = []
+    energy = en.energy
+
+    def counted(s, *args):
+        levels.append(int(np.prod(s.u.data.shape[:-4])))
+        return energy(s, *args)
+
+    monkeypatch.setattr(en, "energy", counted)
+    rep = en.audit(traj, p)
+    monkeypatch.undo()
+    assert sum(levels) == 11
+    pairs = list(zip(states, states[1:]))
+    expected = {
+        "e": [en.energy(s, p) for s in states],
+        "d": np.cumsum([0.0] + [en.dissipation_increment(a, b, p, dt)
+                                for a, b in pairs]),
+        "slip": [0.0] + [en.slip_norm(a, b, dt) for a, b in pairs],
+        "kelvin_voigt": [0.0] + [p.delta * en.elastic_norm_sq(
+            replace(b.u, data=(b.u.data - a.u.data) / dt), p)
+            for a, b in pairs],
+    }
+    got = {"e": rep.e, "d": rep.d_cum, "slip": rep.slip,
+           "kelvin_voigt": rep.breakdown["kelvin_voigt"]}
+    for key, want in expected.items():
+        np.testing.assert_allclose(got[key], want, rtol=1e-13,
+                                   atol=1e-15 * max(np.abs(want)),
+                                   err_msg=key)
 
 
 def test_driven_audit_reports_finite_constant():
