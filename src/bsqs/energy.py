@@ -20,15 +20,14 @@ from .config import PhysicalParams, SourceSpec
 from .errors import BalanceViolation
 from .fem1d import evaluate_derivative, mass, operator_matrix
 from .mode_assembly import (MONOMIALS, _mats, divergence_blocks,
-                            elastic_split, monomial_weights)
+                            elastic_split, monomial_weights, wave_frames)
 from .spectral import (SpectralField, lateral_l2_norm_sq, mode_table,
                        mode_weights, parseval_weights_grid, sample_sources)
 
 TWO_PI = 2.0 * np.pi
 
-# columns of the monomials kap1, kap2, kap1^2, kap2^2 in _mode_monomials
-_K1, _K2, _K11, _K22 = (MONOMIALS.index(m)
-                        for m in ((1, 0), (0, 1), (2, 0), (0, 2)))
+# columns of the monomials kap1^2, kap2^2 in _mode_monomials
+_K11, _K22 = (MONOMIALS.index(m) for m in ((2, 0), (0, 2)))
 
 
 @lru_cache(maxsize=None)
@@ -323,15 +322,19 @@ def _dual_source_quadrature(s0, p, sampled, dt):
     F_f (against the viscous form on the divergence-free subspace), from the
     sources (Fb, S, Ff) sampled at each step's implicit level.
 
-    The dual norms need a per-mode Gram matrix and, for F_f, a basis of the
-    divergence-free subspace; both depend only on the mode, so each mode's
-    setup is done once and applied to the loads of every step at once."""
+    The dual norms need a Gram matrix and, for F_f, a basis of the
+    divergence-free subspace.  In the frame of a mode's wave vector both
+    depend only on |k|^2 (the forms are laterally isotropic, and a turn of
+    the frame is orthogonal, so the dual norm does not depend on it): each
+    distinct |k|^2 is set up once, at the frame symbols (2 pi |k|, 0), and
+    applied to the frame-turned loads of all its modes and steps at once."""
     n1, n2 = s0.u.lateral_shape
     mb, mf = s0.u.mesh, s0.v.mesh
     bm = _mats(mb)
     fm = _mats(mf)
     w = np.repeat(mode_weights(n1, n2), n2)
-    powers = _mode_monomials(n1, n2)
+    modes = mode_table(n1, n2)
+    first, shell, c, s = wave_frames(modes)
     total = 0.0
     S_loads, Ff_loads = [], []
     for Fb, S, Ff in sampled:
@@ -342,25 +345,30 @@ def _dual_source_quadrature(s0, p, sampled, dt):
         if Ff is not None:
             Ff_loads.append(Ff.data @ fm["M"])
 
-    def dual_sum(loads, free, setup):
+    def dual_sum(L, free, setup):
         """dt * sum over modes and steps of w * load^H G^{-1} load on the
-        free DOFs, with (basis, G) = setup(mode index) (basis None: all)."""
-        L = np.stack(loads, axis=-1).reshape(len(w), -1, len(loads))[:, free]
+        free DOFs, for loads L (modes, profile, steps) and, per distinct
+        |k|^2, (basis, G) = setup(frame symbol) (basis None: all)."""
+        L = L[:, free]
         out = 0.0
-        for idx, load in enumerate(L):
-            Z, G = setup(idx)
+        for g, idx in enumerate(first):
+            members = np.flatnonzero(shell == g)
+            Z, G = setup(TWO_PI * np.hypot(*modes[idx]))
+            load = np.moveaxis(L[members], 0, 1).reshape(len(free), -1)
             zl = load if Z is None else Z.conj().T @ load
-            out += w[idx] * np.einsum("is,is->", zl.conj(),
-                                      np.linalg.solve(G, zl)).real
+            per = np.einsum("is,is->s", zl.conj(), np.linalg.solve(G, zl))
+            out += w[members] @ per.real.reshape(members.size, -1).sum(axis=1)
         return dt * out
+
+    def stacked(loads):
+        return np.stack(loads, axis=-1).reshape(len(w), -1, len(loads))
 
     if S_loads:
         pidx = np.flatnonzero(mb.free_mask(1))
         Kp = bm["Kp"][np.ix_(pidx, pidx)]
         Mp = bm["Mp"][np.ix_(pidx, pidx)]
-        kap_sq = powers[:, _K11] + powers[:, _K22]
-        total += dual_sum(S_loads, pidx,
-                          lambda idx: (None, kap_sq[idx] * Mp + Kp))
+        total += dual_sum(stacked(S_loads), pidx,
+                          lambda kap: (None, kap * kap * Mp + Kp))
     if Ff_loads:
         nn = mf.n_nodes(2)
         vidx = np.flatnonzero(mf.free_mask(2))
@@ -368,16 +376,20 @@ def _dual_source_quadrature(s0, p, sampled, dt):
         split = np.stack([A[free][:, free].toarray()
                           for A in elastic_split(mf, p.nu, 0.0)])
 
-        def viscous_setup(idx):
-            AV = np.tensordot(powers[idx], split, 1)
-            dv = divergence_blocks(powers[idx, _K1], powers[idx, _K2],
-                                   fm["Mm"], fm["Cm"])
+        def viscous_setup(kap):
+            AV = np.tensordot(monomial_weights(kap, 0.0), split, 1)
+            dv = divergence_blocks(kap, 0.0, fm["Mm"], fm["Cm"])
             DivF = np.hstack([np.asarray(dd, dtype=complex)[:, vidx]
                               for dd in dv])
             Z = scipy.linalg.null_space(DivF)
             return Z, Z.conj().T @ AV @ Z
 
-        total += dual_sum(Ff_loads, free, viscous_setup)
+        # the loads' (F_f1, F_f2) components turned into each mode's frame
+        L = stacked(Ff_loads).reshape(len(w), 3, nn, -1)
+        cc, ss = c[:, None, None], s[:, None, None]
+        a, b = L[:, 0], L[:, 1]
+        L[:, 0], L[:, 1] = cc * a + ss * b, cc * b - ss * a
+        total += dual_sum(L.reshape(len(w), 3 * nn, -1), free, viscous_setup)
     return total
 
 

@@ -17,7 +17,7 @@ from .errors import (GridMismatch, IncompatibleData, NotDivergenceFree,
                      Violation)
 from .fem1d import VerticalMesh, mass, mixed_div, mixed_mass
 from .mode_assembly import (ModeOperator, StepCoefficients, build_step_rhs,
-                            divergence_modes, mode_symbols)
+                            divergence_modes, mode_symbols, wave_frames)
 from .spectral import (SpectralField, forward_transform, mode_table,
                        sample_function, sample_sources, zero_field)
 
@@ -117,12 +117,15 @@ def _divergence_residual(v: SpectralField) -> float:
 
 
 class Simulator:
-    """Owns the per-mode band LU factorizations for one (params, grid, dt)
-    and advances all modes of a step at once.
+    """Owns the band LU factorizations for one (params, grid, dt), one per
+    distinct |k|^2 in the frame of the wave vector, and advances all modes
+    of a step at once.  `ops` holds each stored mode's ModeOperator; modes
+    with one |k|^2 share it.
 
     `threads` is accepted for compatibility and ignored: a step is a few
-    array products over all modes plus one band solve per mode with a
-    nonzero right-hand side, which leaves no per-mode work to spread."""
+    array products over all modes plus one multi-column band solve per
+    |k|^2 with a nonzero right-hand side, which leaves no per-mode work to
+    spread."""
 
     def __init__(self, cfg: RunConfig, steady: bool = False, threads: int = 1):
         cfg.disc.validate()
@@ -133,7 +136,10 @@ class Simulator:
         self.kap1, self.kap2 = mode_symbols(self.modes)
         self.coeffs = StepCoefficients(cfg.params, self.mb, self.mf,
                                        cfg.disc.dt, steady=steady)
-        self.ops = [ModeOperator(m, self.coeffs) for m in self.modes]
+        first, shell, self.cos, self.sin = wave_frames(self.modes)
+        self.shell = shell.tolist()
+        shared = [ModeOperator(self.modes[i], self.coeffs) for i in first]
+        self.ops = [shared[g] for g in self.shell]
 
     def _sample_sources(self, t: float):
         d = self.cfg.disc
@@ -169,11 +175,25 @@ class Simulator:
             sources=triple(mode_sources), loads=triple(mode_loads),
             interface_data=defects)
 
-        # a mode with a zero right-hand side has the zero solution
+        # a mode with a zero right-hand side has the zero solution; the others
+        # are solved in the frame of their wave vector, one band solve per
+        # |k|^2 (a mode with k2 = 0 is in its frame already)
+        lay = self.coeffs.layout
+        rows = np.flatnonzero(rhs.any(axis=1))
+        turned = rows[self.sin[rows] != 0]
+        c, sn = self.cos[turned], self.sin[turned]
+        if turned.size:
+            rhs[turned] = lay.rotate(rhs[turned], c, sn)
+        groups = {}
+        for i in rows.tolist():
+            groups.setdefault(self.shell[i], []).append(i)
         x = np.zeros_like(rhs)
-        for i in np.flatnonzero(rhs.any(axis=1)):
-            x[i], _ = self.ops[i].step(rhs[i])
-        u, p, v, pf = self.coeffs.layout.unpack(x)
+        for group in groups.values():
+            x[group] = self.ops[group[0]].step(
+                rhs[group].T, [self.modes[i] for i in group])[0].T
+        if turned.size:
+            x[turned] = lay.rotate(x[turned], c, -sn)
+        u, p, v, pf = lay.unpack(x)
 
         lateral = s.u.data.shape[:2]
 

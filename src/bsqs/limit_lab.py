@@ -53,11 +53,33 @@ class DistanceReport:
     delta_term: list = field(default_factory=list)  # delta max_n ||Dt u||_E
 
 
+# the earlier and the later level of each increment of a stacked block
+_PREV, _NEXT = slice(None, -1), slice(1, None)
+
+
+def _blocks(states):
+    """The states in blocks of energy._BLOCK levels, each stacked with the
+    level before it, so that every increment lies in one block: yields
+    (stacked block, slice of the block's own levels)."""
+    from .energy import _BLOCK, _stack
+
+    for start in range(0, len(states), _BLOCK):
+        lo = max(start - 1, 0)
+        yield _stack(states[lo:start + _BLOCK]), slice(start - lo, None)
+
+
+def _difference(a, b, name, sl):
+    """Field `name` of stacked state a minus that of b, at the levels sl."""
+    fa = getattr(a, name)
+    return replace(fa, data=fa.data[sl] - getattr(b, name).data[sl])
+
+
 def trajectory_distance(a: Trajectory, b: Trajectory, params) -> dict:
     """The four discrete limit-topology distances between two trajectories
-    sharing a grid, data, and sources."""
-    from .energy import (_slip_trace, _trace_norm_sq, elastic_norm_sq,
-                         grad_norm_sq, viscous_norm_sq)
+    sharing a grid, data, and sources, with the norms evaluated over blocks
+    of energy._BLOCK levels at once."""
+    from .energy import (_levels, _slip_trace, _trace_norm_sq,
+                         elastic_norm_sq, grad_norm_sq, viscous_norm_sq)
 
     check_same_grid(a, b)
     dt = a.states[1].t - a.states[0].t
@@ -65,36 +87,35 @@ def trajectory_distance(a: Trajectory, b: Trajectory, params) -> dict:
     d2_sq = 0.0
     d3_sq = 0.0
     d4_sq = 0.0
-    for n, (sa, sb) in enumerate(zip(a.states, b.states)):
-        du = replace(sa.u, data=sa.u.data - sb.u.data)
-        d1_sq = max(d1_sq, elastic_norm_sq(du, params))
-        if n == 0:
-            continue
-        dp = replace(sa.p_b, data=sa.p_b.data - sb.p_b.data)
-        d2_sq += dt * grad_norm_sq(dp)
-        dv = replace(sa.v, data=sa.v.data - sb.v.data)
-        d3_sq += dt * viscous_norm_sq(dv, 0.5)
-        slip_a = _slip_trace(a.states[n - 1], sa, dt)
-        slip_b = _slip_trace(b.states[n - 1], sb, dt)
-        d4_sq += dt * _trace_norm_sq(slip_a - slip_b)
+    for (sa, own), (sb, _) in zip(_blocks(a.states), _blocks(b.states)):
+        d1_sq = max(d1_sq, float(np.max(elastic_norm_sq(
+            _difference(sa, sb, "u", own), params))))
+        d2_sq += dt * float(np.sum(grad_norm_sq(
+            _difference(sa, sb, "p_b", _NEXT))))
+        d3_sq += dt * float(np.sum(viscous_norm_sq(
+            _difference(sa, sb, "v", _NEXT), 0.5)))
+        slip_a = _slip_trace(_levels(sa, _PREV), _levels(sa, _NEXT), dt)
+        slip_b = _slip_trace(_levels(sb, _PREV), _levels(sb, _NEXT), dt)
+        d4_sq += dt * float(np.sum(_trace_norm_sq(slip_a - slip_b)))
     return {"D1": float(np.sqrt(d1_sq)), "D2": float(np.sqrt(d2_sq)),
             "D3": float(np.sqrt(d3_sq)), "D4": float(np.sqrt(d4_sq))}
 
 
 def _vanishing_terms(traj: Trajectory, params) -> dict:
-    """Magnitudes of the terms the limit passage sends to zero."""
+    """Magnitudes of the terms the limit passage sends to zero, with the
+    norms evaluated over blocks of energy._BLOCK levels at once."""
     from .energy import elastic_norm_sq, l2_norm_sq
 
     dt = traj.states[1].t - traj.states[0].t
     max_dtu_l2 = 0.0
     max_dtu_e = 0.0
     max_v = 0.0
-    for n in range(1, len(traj.states)):
-        du = replace(traj.states[n].u, data=(traj.states[n].u.data
-                                             - traj.states[n - 1].u.data) / dt)
-        max_dtu_l2 = max(max_dtu_l2, l2_norm_sq(du))
-        max_dtu_e = max(max_dtu_e, elastic_norm_sq(du, params))
-        max_v = max(max_v, l2_norm_sq(traj.states[n].v))
+    for blk, _ in _blocks(traj.states):
+        du = replace(blk.u, data=(blk.u.data[_NEXT] - blk.u.data[_PREV]) / dt)
+        max_dtu_l2 = max(max_dtu_l2, float(np.max(l2_norm_sq(du))))
+        max_dtu_e = max(max_dtu_e, float(np.max(elastic_norm_sq(du, params))))
+        max_v = max(max_v, float(np.max(l2_norm_sq(
+            replace(blk.v, data=blk.v.data[_NEXT])))))
     return {
         "kinetic_b": params.rho_b * max_dtu_l2,
         "kinetic_f": params.rho_f * max_v,

@@ -12,7 +12,9 @@ algebraically (w^{n+1} = (u^{n+1} - u^n)/dt) when rho_b > 0.
 The free DOFs are ordered node by node in x3 (see Layout.free_indices), so
 each mode's step matrix is banded with a half-bandwidth that does not grow
 with the mesh.  It is stored in O(N) memory and factored with LAPACK's band
-LU (zgbtrf / zgbtrs).
+LU (zgbtrf / zgbtrs).  In the frame of its wave vector (Layout.rotate) a
+mode's step matrix depends only on |k|, so one factorization serves every
+mode with the same k1^2 + k2^2 (ModeOperator, wave_frames).
 """
 
 from __future__ import annotations
@@ -87,6 +89,37 @@ class Layout:
         order.setflags(write=False)
         return order
 
+    @cached_property
+    def free_position(self):
+        """Position of each full-vector DOF in the free-DOF vector (-1 for a
+        constrained one).  The returned array is shared and read-only."""
+        position = np.full(sum(self.full_sizes), -1)
+        position[self.free_indices()] = np.arange(self.n_free)
+        position.setflags(write=False)
+        return position
+
+    @cached_property
+    def tangential_pairs(self):
+        """Free-DOF positions of the u1 and v1 DOFs and, at the same nodes,
+        of the u2 and v2 DOFs: the pairs a turn of the lateral frame mixes."""
+        offs = self.full_offsets()
+        ub = np.flatnonzero(self.free_masks[0])
+        vf = np.flatnonzero(self.free_masks[4])
+        return tuple(self.free_position[np.concatenate([offs[a] + ub,
+                                                        offs[b] + vf])]
+                     for a, b in ((0, 4), (1, 5)))
+
+    def rotate(self, x, c, s):
+        """Free-DOF rows x (rows, n_free) with their tangential pairs turned
+        into the frame (c, s) of each row: u_L = c u1 + s u2 and
+        u_T = c u2 - s u1, and v alike; the frame (c, -s) turns them back."""
+        first, second = self.tangential_pairs
+        a, b = x[:, first], x[:, second]
+        out = x.copy()
+        out[:, first] = c[:, None] * a + s[:, None] * b
+        out[:, second] = c[:, None] * b - s[:, None] * a
+        return out
+
     def full_offsets(self):
         offs, off = [], 0
         for size in self.full_sizes:
@@ -152,8 +185,23 @@ def _mats(mesh: VerticalMesh):
     }
 
 
-def _symbols(mode: ModeIndex):
-    return TWO_PI * mode.k1, TWO_PI * mode.k2
+def _symbols(mode):
+    k1, k2 = mode
+    return TWO_PI * k1, TWO_PI * k2
+
+
+def wave_frames(modes):
+    """Group modes by k1^2 + k2^2 and give each the frame of its wave vector.
+
+    Returns (first, shell, c, s): the index of the first mode of each distinct
+    |k|^2, the group of each mode, and each mode's frame (c, s) = k / |k|,
+    which is (1, 0) at k = 0."""
+    k = np.array(modes, dtype=float).reshape(-1, 2)
+    _, first, shell = np.unique((k * k).sum(axis=1), return_index=True,
+                                return_inverse=True)
+    r = np.hypot(k[:, 0], k[:, 1])
+    safe = np.where(r > 0, r, 1.0)
+    return first, shell, np.where(r > 0, k[:, 0] / safe, 1.0), k[:, 1] / safe
 
 
 # Powers of (kap1, kap2) of the monomials the step matrix is a combination
@@ -334,8 +382,7 @@ class StepCoefficients:
         self.steady = steady
         self.layout = lay = Layout(mb, mf)
         n = lay.n_free
-        position = np.full(sum(lay.full_sizes), -1)
-        position[lay.free_indices()] = np.arange(n)
+        position = lay.free_position
 
         entries = []
         for kap1, kap2, degree in _EVALUATIONS:
@@ -373,11 +420,12 @@ class StepCoefficients:
         self.band_rows = self.kl + self.ku + rows - cols
 
 
-def build_step_matrix(mode: ModeIndex, coeffs: StepCoefficients
+def build_step_matrix(mode, coeffs: StepCoefficients
                       ) -> scipy.sparse.csr_matrix:
-    """The free-DOF system matrix of one implicit-Euler step for one mode, in
-    CSR form on the pattern of `coeffs` (rows and columns in
-    Layout.free_indices order)."""
+    """The free-DOF system matrix A(k1, k2) of one implicit-Euler step for the
+    wave vector mode = (k1, k2), a stored ModeIndex or the frame vector
+    (|k|, 0) of one, in CSR form on the pattern of `coeffs` (rows and columns
+    in Layout.free_indices order)."""
     weights = monomial_weights(*_symbols(mode))
     n = coeffs.layout.n_free
     return scipy.sparse.csr_matrix(
@@ -478,15 +526,21 @@ def build_step_rhs(kap1, kap2, coeffs: StepCoefficients, prior=None,
 
 
 class ModeOperator:
-    """One mode's step matrix, factored once in LAPACK band form (zgbtrf) and
-    reused every step.  Holds O(N) memory: the CSR matrix, which also serves
-    the residual check, and the band LU factors with their pivots."""
+    """The step matrix of every mode with the |k|^2 of `mode`, in the frame of
+    its wave vector: A(|k|, 0), factored once in LAPACK band form (zgbtrf)
+    and reused every step.
+
+    The solid and the fluid are laterally isotropic and the slip coefficient
+    is a scalar, so A(k1, k2) = Q A(|k|, 0) Q^T exactly, with Q the turn of
+    the (u1, u2) and (v1, v2) pairs by (k1, k2) / |k| (Layout.rotate).  Holds
+    O(N) memory: the CSR matrix, which also serves the residual check, and
+    the band LU factors with their pivots."""
 
     def __init__(self, mode: ModeIndex, coeffs: StepCoefficients):
         self.mode = mode
         self.layout = coeffs.layout
         self.kl, self.ku = coeffs.kl, coeffs.ku
-        self.matrix = build_step_matrix(mode, coeffs)
+        self.matrix = build_step_matrix((float(np.hypot(*mode)), 0.0), coeffs)
         band = np.zeros((2 * self.kl + self.ku + 1, self.layout.n_free),
                         dtype=complex, order="F")
         band[coeffs.band_rows, coeffs.indices] = self.matrix.data
@@ -495,18 +549,24 @@ class ModeOperator:
         if info != 0:
             raise SingularSystem(mode, f"band LU failed (zgbtrf info {info})")
 
-    def step(self, rhs):
-        """Solve this mode's step system for one free-DOF right-hand side
-        (a row of build_step_rhs).  Returns (x, residual): the free-DOF
-        solution and its relative residual |A x - rhs| / |rhs|, which must
-        not exceed 1e-11.  A zero right-hand side gives x = 0, residual 0."""
-        scale = np.linalg.norm(rhs)
-        if scale == 0:
-            return np.zeros_like(rhs), scale
+    def step(self, rhs, modes=None):
+        """Solve the frame system for free-DOF right-hand sides already turned
+        into the frame: one vector (n_free,) or one per column (n_free, k).
+        Returns (x, residual): the solutions, shaped as rhs, and each
+        column's relative residual |A x - b| / |b|, which must not exceed
+        1e-11; Q is orthogonal, so it equals the residual of the mode's own
+        system.  A column that fails raises SingularSystem naming its mode
+        in `modes` (default: this operator's mode).  A zero column gives
+        x = 0, residual 0."""
+        scale = np.linalg.norm(rhs, axis=0)
         x, _ = zgbtrs(self.band_lu, self.kl, self.ku, rhs, self.piv)
-        res = np.linalg.norm(self.matrix @ x - rhs) / scale
-        if not np.isfinite(res) or res > 1e-11:
-            raise SingularSystem(self.mode, f"relative residual {res:.3e}")
+        res = np.linalg.norm(self.matrix @ x - rhs, axis=0) / np.where(
+            scale > 0, scale, 1.0)
+        bad = ~(res <= 1e-11)
+        if bad.any():
+            col = int(np.argmax(bad))
+            raise SingularSystem(self.mode if modes is None else modes[col],
+                                 f"relative residual {np.ravel(res)[col]:.3e}")
         return x, res
 
 

@@ -74,3 +74,21 @@ def drop_nyquist(samples):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+def frame_rotation(lay, mode):
+    """The rotation Q on a mode's free DOFs with A(k1, k2) = Q A(|k|, 0) Q^T:
+    x = Q y turns the (u1, u2) and (v1, v2) pairs of each node from the frame
+    of the wave vector back, u1 = c y_L - s y_T and u2 = s y_L + c y_T with
+    (c, s) = k / |k|.  Built from the layout's slot offsets alone."""
+    r = np.hypot(*mode)
+    c, s = (mode[0] / r, mode[1] / r) if r > 0 else (1.0, 0.0)
+    sizes = lay.full_sizes
+    offs = lay.full_offsets()
+    R = np.eye(sum(sizes))
+    for first, second in ((0, 1), (4, 5)):
+        i = offs[first] + np.arange(sizes[first])
+        j = offs[second] + np.arange(sizes[second])
+        R[i, i], R[i, j], R[j, i], R[j, j] = c, -s, s, c
+    free = lay.free_indices()
+    return R[np.ix_(free, free)]

@@ -6,12 +6,13 @@ import pytest
 from dataclasses import replace
 
 from bsqs import energy as en
+from bsqs import integrator
 from bsqs.config import Discretization, RunConfig, SourceSpec, parse_config
 from bsqs.errors import (GridMismatch, IncompatibleData, NotDivergenceFree,
                          Violation)
-from bsqs.integrator import (InitialData, Simulator, check_same_grid,
-                             initialize, run)
-from bsqs.mode_assembly import ModeOperator
+from bsqs.integrator import (InitialData, Simulator, _by_mode, _zero_state,
+                             check_same_grid, initialize, run)
+from bsqs.mode_assembly import ModeOperator, build_step_matrix
 from bsqs.spectral import ModeIndex, inverse_transform, mode_table
 from bsqs.verification import (manufacture_sources, solve_steady,
                                solve_transient, steady_case, temporal_case)
@@ -167,14 +168,17 @@ run.d0 = -0.2*cos(2*pi*x1)*(1-x3)
 
 def test_step_solves_only_modes_with_nonzero_rhs(monkeypatch):
     # source-free data in the k1 = 1 modes: every other mode's right-hand
-    # side stays zero (or at FFT roundoff), and a zero one is never solved
+    # side stays zero (or at FFT roundoff), and a zero one is never solved.
+    # Modes of one |k|^2 share an operator and are solved together, so the
+    # solved modes are counted by column, not by call.
     cfg = parse_config(README_RUN)
     solved = []
     solve = ModeOperator.step
 
-    def counting_step(self, *args, **kwargs):
-        solved.append(self.mode)
-        return solve(self, *args, **kwargs)
+    def counting_step(self, rhs, modes):
+        assert rhs.any(axis=0).all()
+        solved.extend(modes)
+        return solve(self, rhs, modes)
 
     monkeypatch.setattr(ModeOperator, "step", counting_step)
     run(cfg, InitialData.from_plan(cfg))
@@ -183,6 +187,46 @@ def test_step_solves_only_modes_with_nonzero_rhs(monkeypatch):
     steps = cfg.disc.n_steps + 1
     assert solved.count(ModeIndex(1, 0)) == steps
     assert len(solved) < steps * n_modes
+
+
+@pytest.mark.parametrize("n1, n2", [(8, 8), (6, 4)])
+def test_grouped_step_matches_per_mode_solves(monkeypatch, n1, n2):
+    """With a random nonzero right-hand side in every mode, the step (turn
+    into each mode's frame, one solve per |k|^2, turn back) gives the
+    solutions of the modes' own unturned step matrices."""
+    cfg = make_config(n1=n1, n2=n2)
+    sim = Simulator(cfg)
+    lay = sim.coeffs.layout
+    rng = np.random.default_rng(11)
+    shape = (len(sim.modes), lay.n_free)
+    rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    monkeypatch.setattr(integrator, "build_step_rhs",
+                        lambda *args, **kwargs: rhs.copy())
+    s = sim.step(_zero_state(cfg))
+    x = lay.pack(_by_mode(s.u), _by_mode(s.p_b)[:, 0], _by_mode(s.v),
+                 _by_mode(s.p_f)[:, 0])[:, lay.free_indices()]
+    for i, mode in enumerate(sim.modes):
+        A = build_step_matrix(mode, sim.coeffs).toarray()
+        ref = np.linalg.solve(A, rhs[i])
+        assert np.linalg.norm(x[i] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_one_mode_operator_per_distinct_wavenumber(monkeypatch):
+    """The 144 stored modes of a 16x16 grid have 42 distinct |k|^2: one
+    operator each, shared by the modes that have it."""
+    built = []
+    build = ModeOperator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModeOperator, "__init__", counting_init)
+    sim = Simulator(make_config(n1=16, n2=16))
+    assert len(built) == 42
+    assert len(sim.ops) == len(sim.modes) == 144
+    for mode, op in zip(sim.modes, sim.ops):
+        assert np.hypot(*op.mode) == np.hypot(*mode)
 
 
 def _fingerprint(state):

@@ -8,17 +8,21 @@ import pytest
 import scipy.sparse
 
 from bsqs.config import Discretization, RunConfig
-from bsqs.errors import DegenerateParams, MeshMismatch, TooLarge
+from bsqs import integrator
+from bsqs.errors import (DegenerateParams, MeshMismatch, SingularSystem,
+                         TooLarge)
 from bsqs.fem1d import VerticalMesh
-from bsqs.integrator import Simulator, initialize, InitialData
+from bsqs.integrator import Simulator, _zero_state, initialize, InitialData
 from bsqs.mode_assembly import (Layout, ModeOperator, StepCoefficients,
                                 assemble_generator, build_step_matrix,
                                 build_step_rhs, dense_real_space_oracle,
                                 divergence_blocks, elastic_blocks,
                                 elastic_split, mode_symbols,
                                 monomial_weights, _mats)
-from bsqs.spectral import ModeIndex, forward_transform, inverse_transform
-from conftest import make_config, make_params, smooth_initial_callables
+from bsqs.spectral import (ModeIndex, forward_transform, inverse_transform,
+                           mode_table)
+from conftest import (frame_rotation, make_config, make_params,
+                      smooth_initial_callables)
 
 MB = VerticalMesh("biot", 4)
 MF = VerticalMesh("fluid", 4)
@@ -269,7 +273,6 @@ def _real_space_prior(cfg, rng):
 
 
 def _pipeline_step(cfg, u, w, p, v):
-    from bsqs.integrator import _zero_state
     sim = Simulator(cfg)
     mb = VerticalMesh("biot", cfg.disc.nb)
     mf = VerticalMesh("fluid", cfg.disc.nf)
@@ -310,6 +313,52 @@ def test_oracle_matches_pipeline(rng, regime):
         scale = max(np.abs(oracle).max(), 1e-12)
         assert np.abs(oracle.imag).max() < 1e-9 * scale
         assert np.abs(mine - oracle.real).max() < 1e-9 * scale
+
+
+@pytest.mark.parametrize("regime, steady", [(r, False) for r in REGIMES]
+                         + [({}, True)])
+def test_step_matrix_is_its_frame_matrix_turned(regime, steady):
+    """A(k1, k2) = Q A(|k|, 0) Q^T for every stored mode of an 8x8 and a 6x4
+    grid (Nyquist rows and columns included): one factorization per |k|^2
+    serves all of its modes."""
+    coeffs = StepCoefficients(make_params(**regime), MB, MF, 1 / 16,
+                              steady=steady)
+    for n1, n2 in ((8, 8), (6, 4)):
+        for mode in mode_table(n1, n2):
+            A = build_step_matrix(mode, coeffs).toarray()
+            A0 = build_step_matrix((np.hypot(*mode), 0.0), coeffs).toarray()
+            Q = frame_rotation(coeffs.layout, mode)
+            assert np.abs(Q @ A0 @ Q.T - A).max() <= 1e-14 * np.abs(A).max()
+
+
+def test_residual_gate_checks_every_column_of_a_group(monkeypatch):
+    """A corrupted band LU of one |k|^2 is caught in a column that is neither
+    the group's first nor its largest, and the error names that column's
+    stored mode."""
+    cfg = make_config(n1=8, n2=8)
+    sim = Simulator(cfg)
+    lay = sim.coeffs.layout
+    n = lay.n_free
+    group = [ModeIndex(1, 2), ModeIndex(1, -2), ModeIndex(2, 1),
+             ModeIndex(2, -1)]                     # |k|^2 = 5, storage order
+    op = sim.ops[sim.modes.index(ModeIndex(2, 1))]
+    assert all(sim.ops[sim.modes.index(m)] is op for m in group)
+    # scaling the last pivot of U changes only solutions whose frame
+    # component n - 1 is nonzero: here the third column's alone
+    op.band_lu[op.kl + op.ku, n - 1] *= 2.0
+    rng = np.random.default_rng(7)
+    rhs = np.zeros((len(sim.modes), n), dtype=complex)
+    for mode, scale in zip(group, (1.0, 1.0, 1.0, 1e12)):
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        if mode != ModeIndex(2, 1):
+            y[n - 1] = 0.0
+        x = frame_rotation(lay, mode) @ (scale * y)
+        rhs[sim.modes.index(mode)] = build_step_matrix(mode, sim.coeffs) @ x
+    monkeypatch.setattr(integrator, "build_step_rhs",
+                        lambda *args, **kwargs: rhs.copy())
+    with pytest.raises(SingularSystem) as err:
+        sim.step(_zero_state(cfg))
+    assert err.value.mode == ModeIndex(2, 1)
 
 
 def _prior_rhs(coeffs, mode, prior):
