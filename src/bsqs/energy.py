@@ -19,8 +19,9 @@ import scipy.sparse
 from .config import PhysicalParams, SourceSpec
 from .errors import BalanceViolation
 from .fem1d import evaluate_derivative, mass, operator_matrix
-from .mode_assembly import (MONOMIALS, _mats, divergence_blocks,
-                            elastic_split, monomial_weights, wave_frames)
+from .mode_assembly import (MONOMIALS, _mats, darcy_split, dense_split,
+                            divergence_split, elastic_split,
+                            monomial_weights, wave_frames)
 from .spectral import (SpectralField, lateral_l2_norm_sq, mode_table,
                        mode_weights, parseval_weights_grid, sample_sources)
 
@@ -365,22 +366,20 @@ def _dual_source_quadrature(s0, p, sampled, dt):
 
     if S_loads:
         pidx = np.flatnonzero(mb.free_mask(1))
-        Kp = bm["Kp"][np.ix_(pidx, pidx)]
-        Mp = bm["Mp"][np.ix_(pidx, pidx)]
-        total += dual_sum(stacked(S_loads), pidx,
-                          lambda kap: (None, kap * kap * Mp + Kp))
+        darcy = dense_split(darcy_split(mb), pidx, pidx)
+        total += dual_sum(stacked(S_loads), pidx, lambda kap: (
+            None, np.tensordot(monomial_weights(kap, 0.0), darcy, 1)))
     if Ff_loads:
         nn = mf.n_nodes(2)
         vidx = np.flatnonzero(mf.free_mask(2))
         free = np.concatenate([a * nn + vidx for a in range(3)])
-        split = np.stack([A[free][:, free].toarray()
-                          for A in elastic_split(mf, p.nu, 0.0)])
+        viscous = dense_split(elastic_split(mf, p.nu, 0.0), free, free)
+        div = dense_split(divergence_split(mf), slice(None), free)
 
         def viscous_setup(kap):
-            AV = np.tensordot(monomial_weights(kap, 0.0), split, 1)
-            dv = divergence_blocks(kap, 0.0, fm["Mm"], fm["Cm"])
-            DivF = np.hstack([np.asarray(dd, dtype=complex)[:, vidx]
-                              for dd in dv])
+            weights = monomial_weights(kap, 0.0)
+            AV = np.tensordot(weights, viscous, 1)
+            DivF = np.tensordot(weights, div, 1)
             Z = scipy.linalg.null_space(DivF)
             return Z, Z.conj().T @ AV @ Z
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
+from .energy import l2_norm
 from .errors import (GridMismatch, IncompatibleData, NotDivergenceFree,
                      Violation)
 from .fem1d import VerticalMesh, mass, mixed_div, mixed_mass
@@ -255,7 +256,6 @@ def initialize(cfg: RunConfig, data: InitialData,
     if p.c0 > 0:
         s.p_b.data[:] = resid.data / p.c0
     else:
-        from .energy import l2_norm  # local import avoids a module cycle
         rnorm = l2_norm(resid)
         dnorm = l2_norm(d0)
         if rnorm > 1e-10 * (dnorm + 1.0):

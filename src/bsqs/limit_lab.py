@@ -14,6 +14,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import RunConfig, with_params
+from .energy import (_BLOCK, _levels, _slip_trace, _stack, _trace_norm_sq,
+                     elastic_norm_sq, grad_norm_sq, l2_norm_sq,
+                     viscous_norm_sq)
 from .errors import InsufficientPoints, OrderingViolation, Violation
 from .integrator import InitialData, Trajectory, check_same_grid, run
 
@@ -61,8 +64,6 @@ def _blocks(states):
     """The states in blocks of energy._BLOCK levels, each stacked with the
     level before it, so that every increment lies in one block: yields
     (stacked block, slice of the block's own levels)."""
-    from .energy import _BLOCK, _stack
-
     for start in range(0, len(states), _BLOCK):
         lo = max(start - 1, 0)
         yield _stack(states[lo:start + _BLOCK]), slice(start - lo, None)
@@ -78,9 +79,6 @@ def trajectory_distance(a: Trajectory, b: Trajectory, params) -> dict:
     """The four discrete limit-topology distances between two trajectories
     sharing a grid, data, and sources, with the norms evaluated over blocks
     of energy._BLOCK levels at once."""
-    from .energy import (_levels, _slip_trace, _trace_norm_sq,
-                         elastic_norm_sq, grad_norm_sq, viscous_norm_sq)
-
     check_same_grid(a, b)
     dt = a.states[1].t - a.states[0].t
     d1_sq = 0.0
@@ -104,8 +102,6 @@ def trajectory_distance(a: Trajectory, b: Trajectory, params) -> dict:
 def _vanishing_terms(traj: Trajectory, params) -> dict:
     """Magnitudes of the terms the limit passage sends to zero, with the
     norms evaluated over blocks of energy._BLOCK levels at once."""
-    from .energy import elastic_norm_sq, l2_norm_sq
-
     dt = traj.states[1].t - traj.states[0].t
     max_dtu_l2 = 0.0
     max_dtu_e = 0.0

@@ -34,9 +34,8 @@ from .spectral import ModeIndex, signed_k2
 
 TWO_PI = 2.0 * np.pi
 
-# slot order in the monolithic per-mode vector
-SLOTS = ("u1", "u2", "u3", "p", "v1", "v2", "v3", "pf")
-# element degree of each slot: P2 velocities/displacements, P1 pressures
+# element degree of each slot (u1, u2, u3, p, v1, v2, v3, pf) of the
+# per-mode vector: P2 displacements and velocities, P1 pressures
 DEGREES = (2, 2, 2, 1, 2, 2, 2, 1)
 
 
@@ -170,12 +169,6 @@ def elastic_blocks(kap1, kap2, M, K, Ct, mu, lam):
     return B
 
 
-def divergence_blocks(kap1, kap2, Mm, Cm):
-    """(div u, q) with P1 test rows and P2 trial columns per velocity
-    component: [i*kap1*Mm, i*kap2*Mm, Cm]."""
-    return (1j * kap1 * Mm, 1j * kap2 * Mm, Cm)
-
-
 @lru_cache(maxsize=None)
 def _mats(mesh: VerticalMesh):
     return {
@@ -204,18 +197,9 @@ def wave_frames(modes):
     return first, shell, np.where(r > 0, k[:, 0] / safe, 1.0), k[:, 1] / safe
 
 
-# Powers of (kap1, kap2) of the monomials the step matrix is a combination
-# of: A(kap) = sum over m of kap1**m[0] * kap2**m[1] * A_m.
+# Powers of (kap1, kap2) of the monomials every form is a combination of:
+# A(kap) = sum over m of kap1**m[0] * kap2**m[1] * A_m.
 MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
-
-# Powers of the lateral symbols each vertical matrix carries in the forms:
-# M and Mp pair two lateral derivatives, Ct and Mm one, K, Kp and Cm none.
-_SYMBOL_DEGREE = {"M": 2, "Mp": 2, "Ct": 1, "Mm": 1, "K": 0, "Kp": 0, "Cm": 0}
-
-# (kap1, kap2, degree) of the evaluations that give the A_m in MONOMIALS
-# order; the last two are combined as (A(1, 1) - A(1, -1)) / 2 for kap1*kap2.
-_EVALUATIONS = ((0.0, 0.0, 0), (1.0, 0.0, 1), (0.0, 1.0, 1), (1.0, 0.0, 2),
-                (0.0, 1.0, 2), (1.0, 1.0, 2), (1.0, -1.0, 2))
 
 
 def monomial_weights(kap1, kap2):
@@ -224,11 +208,11 @@ def monomial_weights(kap1, kap2):
     return np.stack([kap1**i * kap2**j for i, j in MONOMIALS], axis=-1)
 
 
-def _graded(mats, degree):
-    """The vertical matrices that carry `degree` powers of the symbols, with
-    every other one replaced by zeros."""
-    return {k: m if _SYMBOL_DEGREE[k] == degree else np.zeros_like(m)
-            for k, m in mats.items()}
+def dense_split(split, rows, cols):
+    """A split's matrices on `rows` x `cols` (index arrays or slices), stacked
+    dense as (len(MONOMIALS), rows, cols): the form at the symbols
+    (kap1, kap2) is np.tensordot(monomial_weights(kap1, kap2), this, 1)."""
+    return np.stack([S[rows][:, cols].toarray() for S in split])
 
 
 @lru_cache(maxsize=None)
@@ -241,6 +225,13 @@ def elastic_split(mesh: VerticalMesh, mu: float, lam: float):
     matrices of the monomial's degree kept, so the split is exact;
     kap1*kap2 is the half-difference of the (1, 1) and (1, -1) evaluations.
     The result is shared; do not modify it."""
+    # powers of the symbols each vertical matrix carries in the form: M
+    # pairs two lateral derivatives, Ct one, K none
+    degree_of = {"M": 2, "Ct": 1, "K": 0}
+    # (kap1, kap2, degree) of the evaluations, in MONOMIALS order but for
+    # the last two, which give kap1*kap2
+    evaluations = ((0.0, 0.0, 0), (1.0, 0.0, 1), (0.0, 1.0, 1),
+                   (1.0, 0.0, 2), (0.0, 1.0, 2), (1.0, 1.0, 2), (1.0, -1.0, 2))
     mats = _mats(mesh)
     nn = mats["M"].shape[0]
     # every block is a combination of M, K, Ct and Ct^T: one band pattern
@@ -250,8 +241,9 @@ def elastic_split(mesh: VerticalMesh, mu: float, lam: float):
     rows = np.concatenate([a * nn + i for a, _ in grid])
     cols = np.concatenate([c * nn + j for _, c in grid])
     evals = []
-    for kap1, kap2, degree in _EVALUATIONS:
-        g = _graded(mats, degree)
+    for kap1, kap2, degree in evaluations:
+        g = {k: mats[k] if d == degree else np.zeros_like(mats[k])
+             for k, d in degree_of.items()}
         B = elastic_blocks(kap1, kap2, g["M"], g["K"], g["Ct"], mu, lam)
         evals.append(np.concatenate([B[a, c][i, j] for a, c in grid]))
     split = []
@@ -263,98 +255,131 @@ def elastic_split(mesh: VerticalMesh, mu: float, lam: float):
     return tuple(split)
 
 
-def _step_entries(p, lay, dt, steady, kap1, kap2, degree):
-    """Entries (full-vector rows, cols, values, time parts) of the step
-    matrix at the symbols (kap1, kap2), keeping only the terms that carry
-    `degree` powers of the symbols: the forms see only their vertical
-    matrices of that degree, and the symbol-free terms (inertia, storage,
-    interface couplings) enter with degree 0.  An entry's time part is what
-    the right-hand side also applies to the previous time level."""
+@lru_cache(maxsize=None)
+def divergence_split(mesh: VerticalMesh):
+    """The (div u, q) pairing split over MONOMIALS as elastic_split splits
+    a_E, with P1 test rows and component-major P2 trial columns: i*Mm on u1
+    at (1, 0), i*Mm on u2 at (0, 1), Cm on u3 at (0, 0), zero elsewhere.
+    The result is shared; do not modify it."""
+    m = _mats(mesh)
+    zero = np.zeros_like(m["Mm"])
+    blocks = {(0, 0): (zero, zero, m["Cm"]),
+              (1, 0): (1j * m["Mm"], zero, zero),
+              (0, 1): (zero, 1j * m["Mm"], zero)}
+    return tuple(scipy.sparse.csr_matrix(np.hstack(blocks.get(k, (zero,) * 3)),
+                                         dtype=complex) for k in MONOMIALS)
+
+
+@lru_cache(maxsize=None)
+def darcy_split(mesh: VerticalMesh):
+    """The Darcy form (grad p, grad q), without the permeability, split over
+    MONOMIALS on P1 profiles: Kp at (0, 0), Mp at (2, 0) and (0, 2), zero
+    elsewhere.  The result is shared; do not modify it."""
+    m = _mats(mesh)
+    parts = {(0, 0): m["Kp"], (2, 0): m["Mp"], (0, 2): m["Mp"]}
+    return tuple(scipy.sparse.csr_matrix(parts.get(k, np.zeros_like(m["Mp"])),
+                                         dtype=complex) for k in MONOMIALS)
+
+
+@lru_cache(maxsize=None)
+def _entries(split, *args):
+    """(rows, cols, values) of the stored entries of each CSR matrix of the
+    split split(*args), read once; the arrays are shared."""
+    return tuple((np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)),
+                  A.indices, A.data) for A in split(*args))
+
+
+@lru_cache(maxsize=None)
+def _mass_entries(mesh: VerticalMesh, degree: int, ncomp: int):
+    """(rows, cols, values) of the nonzero entries of the mass matrix of
+    `ncomp` degree-`degree` components on their component-major profile;
+    the arrays are shared."""
+    M = mass(mesh, degree)
+    i, j = np.nonzero(M)
+    shift = np.repeat(np.arange(ncomp) * M.shape[0], i.size)
+    return (shift + np.tile(i, ncomp), shift + np.tile(j, ncomp),
+            np.tile(M[i, j], ncomp))
+
+
+def _step_entries(p, lay, dt, steady, m):
+    """Entries (full-vector rows, cols, values, time parts) of the coefficient
+    of MONOMIALS[m] in the step matrix, read from the splits of the forms;
+    the symbol-free terms (inertia, storage, interface couplings) enter at
+    m = 0, the monomial (0, 0).  An entry's time part is what the
+    right-hand side also applies to the previous time level."""
     mb, mf = lay.mb, lay.mf
-    b, f = _mats(mb), _mats(mf)
-    gb, gf = _graded(b, degree), _graded(f, degree)
-    const = degree == 0
     offs = lay.full_offsets()
+    ou, op, ov, opf = offs[0], offs[3], offs[4], offs[7]
+    const = MONOMIALS[m] == (0, 0)
     rows, cols, vals, times = [], [], [], []
 
-    def put(row_slot, col_slot, block, time=None):
-        """time: the block's time part, or True when all of it is one."""
-        i, j = np.nonzero(block)
-        rows.append(offs[SLOTS.index(row_slot)] + i)
-        cols.append(offs[SLOTS.index(col_slot)] + j)
-        vals.append(block[i, j])
-        times.append(vals[-1] if time is True else
-                     np.zeros(i.size) if time is None else time[i, j])
-
-    def put_point(row, col, value, time=False):
-        rows.append([row])
-        cols.append([col])
-        vals.append([value])
-        times.append([value if time else 0.0])
+    def put(row, col, value, time=None):
+        """time: the entries' time parts, or True when all of each is one."""
+        rows.append(row)
+        cols.append(col)
+        vals.append(value)
+        times.append(value if time is True else
+                     np.zeros_like(value) if time is None else time)
 
     ub_if = [offs[a] + mb.interface_node(2) for a in range(3)]
-    p_if = offs[3] + mb.interface_node(1)
+    p_if = op + mb.interface_node(1)
     v_if = [offs[4 + a] + mf.interface_node(2) for a in range(3)]
 
     # --- E-rows: Biot momentum tested with xi ---
-    aE = elastic_blocks(kap1, kap2, gb["M"], gb["K"], gb["Ct"], p.mu, p.lam)
+    r, c, e = _entries(elastic_split, mb, p.mu, p.lam)[m]
     kv = 0.0 if steady else p.delta / dt
-    for a in range(3):
-        for c in range(3):
-            put(f"u{a+1}", f"u{c+1}", (1.0 + kv) * aE[a, c], kv * aE[a, c])
-        if const and p.rho_b > 0 and not steady:
-            put(f"u{a+1}", f"u{a+1}", (p.rho_b / dt**2) * b["M"], True)
+    put(ou + r, ou + c, (1.0 + kv) * e, kv * e)
+    if const and p.rho_b > 0 and not steady:
+        r, c, mm = _mass_entries(mb, 2, 3)
+        put(ou + r, ou + c, (p.rho_b / dt**2) * mm, True)
     # -alpha (p, div xi): Hermitian transpose of the divergence pairing
-    dvb = divergence_blocks(kap1, kap2, gb["Mm"], gb["Cm"])
-    for a in range(3):
-        put(f"u{a+1}", "p", -p.alpha * dvb[a].conj().T)
+    rd, cd, d = _entries(divergence_split, mb)[m]
+    put(ou + cd, op + rd, -p.alpha * np.conj(d))
     if const:
         # interface: -p(0) conj(xi3(0))
-        put_point(ub_if[2], p_if, -1.0)
+        put(ub_if[2], p_if, -1.0)
         # BJS slip: -beta (v_j(0) - Dt u_j(0)) conj(xi_j(0)), j = 1, 2
         for j in range(2):
-            put_point(ub_if[j], v_if[j], -p.beta)
+            put(ub_if[j], v_if[j], -p.beta)
             if not steady:
-                put_point(ub_if[j], ub_if[j], p.beta / dt, True)
+                put(ub_if[j], ub_if[j], p.beta / dt, True)
 
     # --- D-row: fluid content balance tested with q ---
-    put("p", "p", p.k_perm * ((kap1**2 + kap2**2) * gb["Mp"] + gb["Kp"]))
+    r, c, k = _entries(darcy_split, mb)[m]
+    put(op + r, op + c, p.k_perm * k)
     if not steady:
         if const and p.c0 > 0:
-            put("p", "p", (p.c0 / dt) * b["Mp"], True)
-        for a in range(3):
-            put("p", f"u{a+1}", (p.alpha / dt) * dvb[a], True)
+            r, c, mm = _mass_entries(mb, 1, 1)
+            put(op + r, op + c, (p.c0 / dt) * mm, True)
+        put(op + rd, ou + cd, (p.alpha / dt) * d, True)
     if const:
         # interface: -(v3(0) - Dt u3(0)) conj(q(0))
-        put_point(p_if, v_if[2], -1.0)
+        put(p_if, v_if[2], -1.0)
         if not steady:
-            put_point(p_if, ub_if[2], 1.0 / dt, True)
+            put(p_if, ub_if[2], 1.0 / dt, True)
 
     # --- F-rows: Stokes momentum tested with zeta ---
-    aV = elastic_blocks(kap1, kap2, gf["M"], gf["K"], gf["Ct"], p.nu, 0.0)
-    dvf = divergence_blocks(kap1, kap2, gf["Mm"], gf["Cm"])
-    for a in range(3):
-        for c in range(3):
-            put(f"v{a+1}", f"v{c+1}", aV[a, c])
-        if const and p.rho_f > 0 and not steady:
-            put(f"v{a+1}", f"v{a+1}", (p.rho_f / dt) * f["M"], True)
-        put(f"v{a+1}", "pf", -dvf[a].conj().T)
+    r, c, e = _entries(elastic_split, mf, p.nu, 0.0)[m]
+    put(ov + r, ov + c, e)
+    if const and p.rho_f > 0 and not steady:
+        r, c, mm = _mass_entries(mf, 2, 3)
+        put(ov + r, ov + c, (p.rho_f / dt) * mm, True)
+    rd, cd, d = _entries(divergence_split, mf)[m]
+    put(ov + cd, opf + rd, -np.conj(d))
     if const:
         # interface: +p(0) conj(zeta3(0))
-        put_point(v_if[2], p_if, 1.0)
+        put(v_if[2], p_if, 1.0)
         # BJS slip: +beta (v_j(0) - Dt u_j(0)) conj(zeta_j(0))
         for j in range(2):
-            put_point(v_if[j], v_if[j], p.beta)
+            put(v_if[j], v_if[j], p.beta)
             if not steady:
-                put_point(v_if[j], ub_if[j], -p.beta / dt, True)
+                put(v_if[j], ub_if[j], -p.beta / dt, True)
 
     # --- C-row: incompressibility tested with q_f ---
-    for a in range(3):
-        put("pf", f"v{a+1}", dvf[a])
+    put(opf + rd, ov + cd, d)
 
-    return (np.concatenate(rows), np.concatenate(cols),
-            np.concatenate(vals).astype(complex),
-            np.concatenate(times).astype(complex))
+    return (np.hstack(rows), np.hstack(cols), np.hstack(vals).astype(complex),
+            np.hstack(times).astype(complex))
 
 
 class StepCoefficients:
@@ -362,13 +387,12 @@ class StepCoefficients:
     dt): the coefficients A_m of A(kap) = sum_m kap**m over MONOMIALS, on one
     sparsity pattern over the free DOFs in Layout.free_indices order.
 
-    Each A_m comes from the forms evaluated at unit symbols with only the
-    vertical matrices of the monomial's degree kept, so the split is exact;
-    kap1*kap2 is the half-difference of two evaluations that agree on every
-    entry without that monomial.  The pattern fixes the half-bandwidths
-    kl, ku and, in CSR order, the LAPACK band position of every entry.
+    Each A_m is assembled from the m-th matrices of the forms' splits
+    (elastic_split, divergence_split, darcy_split), so the split is exact.
+    The pattern fixes the half-bandwidths kl, ku and, in CSR order, the
+    LAPACK band position of every entry.
 
-    The time terms of the same evaluations give the prior-level operator
+    The time terms of the same entries give the prior-level operator
     B(kap) = A(kap) - A_steady(kap), split the same way: `prior` holds, per
     monomial, the rows where B_m has entries and B_m on those rows as CSR.
     """
@@ -385,21 +409,21 @@ class StepCoefficients:
         position = lay.free_position
 
         entries = []
-        for kap1, kap2, degree in _EVALUATIONS:
-            r, c, v, t = _step_entries(p, lay, dt, steady, kap1, kap2, degree)
+        for m in range(len(MONOMIALS)):
+            r, c, v, t = _step_entries(p, lay, dt, steady, m)
             r, c = position[r], position[c]
             free = (r >= 0) & (c >= 0)
             entries.append((r[free] * n + c[free], v[free], t[free]))
         keys, slot = np.unique(np.concatenate([k for k, _, _ in entries]),
                                return_inverse=True)
-        # all of each evaluation (A) and its time parts (B)
-        evals = np.zeros((2, len(entries), keys.size), dtype=complex)
+        # every A_m and its time part B_m on the union of the patterns
+        coeffs, prior = np.zeros((2, len(MONOMIALS), keys.size),
+                                 dtype=complex)
         start = 0
         for i, (k, v, t) in enumerate(entries):
-            np.add.at(evals[0, i], slot[start:start + k.size], v)
-            np.add.at(evals[1, i], slot[start:start + k.size], t)
+            np.add.at(coeffs[i], slot[start:start + k.size], v)
+            np.add.at(prior[i], slot[start:start + k.size], t)
             start += k.size
-        coeffs, prior = (np.vstack([e[:5], (e[5] - e[6]) / 2]) for e in evals)
         rows, cols = np.divmod(keys, n)           # row-major: CSR order
         self.prior = []
         for b in prior:
@@ -433,9 +457,9 @@ def build_step_matrix(mode, coeffs: StepCoefficients
 
 
 def divergence_modes(kap1, kap2, U, Mm, Cm):
-    """divergence_blocks applied to P2 vector profiles of many modes at once:
-    U (modes, 3, n) with symbols kap1, kap2 (modes,) -> (div u, q) rows
-    (modes, nq)."""
+    """divergence_split at each mode's symbols applied to P2 vector profiles
+    of many modes at once: U (modes, 3, n) with symbols kap1, kap2 (modes,)
+    -> (div u, q) rows (modes, nq)."""
     return (1j * kap1[:, None] * (U[:, 0] @ Mm.T)
             + 1j * kap2[:, None] * (U[:, 1] @ Mm.T) + U[:, 2] @ Cm.T)
 
@@ -586,61 +610,36 @@ def assemble_generator(mode: ModeIndex, p: PhysicalParams, mb: VerticalMesh,
     if not (p.rho_b > 0 and p.rho_f > 0 and p.c0 > 0):
         raise DegenerateParams("assemble_generator needs rho_b, rho_f, c0 > 0")
     kap1, kap2 = _symbols(mode)
-    b = _mats(mb)
-    f = _mats(mf)
-    ubm = mb.free_mask(2)
-    pbm = mb.free_mask(1)
-    vfm = mf.free_mask(2)
-    nu_, np_, nv_ = int(ubm.sum()), int(pbm.sum()), int(vfm.sum())
+    iu, ip_, iv = (np.flatnonzero(m) for m in (
+        mb.free_mask(2), mb.free_mask(1), mf.free_mask(2)))
+    nu_, np_ = iu.size, ip_.size
+    # free DOFs of the component-major u and v profiles
+    uf = np.concatenate([a * mb.n_nodes(2) + iu for a in range(3)])
+    vf = np.concatenate([a * mf.n_nodes(2) + iv for a in range(3)])
 
-    def restrict(mat, rmask, cmask):
-        return mat[np.ix_(np.flatnonzero(rmask), np.flatnonzero(cmask))]
+    weights = monomial_weights(kap1, kap2)
 
-    # vector-block helper: 3x3 object grid -> single matrix on free DOFs
-    def grid(blocks, rmask, cmask):
-        return np.block([[restrict(np.asarray(blocks[a][c], dtype=complex),
-                                   rmask, cmask)
-                          for c in range(3)] for a in range(3)])
+    def form(split, rows, cols):
+        return np.tensordot(weights, dense_split(split, rows, cols), 1)
 
-    aE = elastic_blocks(kap1, kap2, b["M"], b["K"], b["Ct"], p.mu, p.lam)
-    AE = grid(aE, ubm, ubm)
-    Mu = np.kron(np.eye(3), restrict(b["M"], ubm, ubm)).astype(complex)
-    Mp = restrict(b["Mp"], pbm, pbm).astype(complex)
-    Kdar = p.k_perm * restrict((kap1**2 + kap2**2) * b["Mp"] + b["Kp"], pbm, pbm)
-    aV = elastic_blocks(kap1, kap2, f["M"], f["K"], f["Ct"], p.nu, 0.0)
-    AV = grid(aV, vfm, vfm)
-    Mv = np.kron(np.eye(3), restrict(f["M"], vfm, vfm)).astype(complex)
-
-    dvb = divergence_blocks(kap1, kap2, b["Mm"], b["Cm"])
-    DivB = np.hstack([restrict(np.asarray(d, dtype=complex), pbm, ubm)
-                      for d in dvb])
-    dvf = divergence_blocks(kap1, kap2, f["Mm"], f["Cm"])
-    pfm = np.ones(mf.n_nodes(1), dtype=bool)
-    DivF = np.hstack([restrict(np.asarray(d, dtype=complex), pfm, vfm)
-                      for d in dvf])
+    AE = form(elastic_split(mb, p.mu, p.lam), uf, uf)
+    AV = form(elastic_split(mf, p.nu, 0.0), vf, vf)
+    DivB = form(divergence_split(mb), ip_, uf)
+    DivF = form(divergence_split(mf), slice(None), vf)
+    Kdar = p.k_perm * form(darcy_split(mb), ip_, ip_)
+    b, f = _mats(mb), _mats(mf)
+    Mu = np.kron(np.eye(3), b["M"][np.ix_(iu, iu)]).astype(complex)
+    Mp = b["Mp"][np.ix_(ip_, ip_)].astype(complex)
+    Mv = np.kron(np.eye(3), f["M"][np.ix_(iv, iv)]).astype(complex)
 
     # divergence-free fluid subspace
     Z = scipy.linalg.null_space(DivF)
     nc = Z.shape[1]
 
-    # interface selector vectors on free DOFs
-    def point_vec(n, idx):
-        e = np.zeros(n)
-        e[idx] = 1.0
-        return e
-
-    iu = np.flatnonzero(ubm)
-    u_if = [a * nu_ + int(np.where(iu == mb.interface_node(2))[0][0])
-            for a in range(3)]
-    ip_ = np.flatnonzero(pbm)
-    p_if = int(np.where(ip_ == mb.interface_node(1))[0][0])
-    iv = np.flatnonzero(vfm)
-    v_if = [a * nv_ + int(np.where(iv == mf.interface_node(2))[0][0])
-            for a in range(3)]
-
-    Eu = [point_vec(3 * nu_, u_if[a]) for a in range(3)]
-    Ep = point_vec(np_, p_if)
-    Ev = [point_vec(3 * nv_, v_if[a]) for a in range(3)]
+    # interface selector vectors on free DOFs, one per component of u and v
+    Eu = np.eye(uf.size)[uf % mb.n_nodes(2) == mb.interface_node(2)]
+    Ep = (ip_ == mb.interface_node(1)).astype(float)
+    Ev = np.eye(vf.size)[vf % mf.n_nodes(2) == mf.interface_node(2)]
 
     # weak action L: rows in the test metric, columns over (u, w, p, c)
     n_tot = 3 * nu_ + 3 * nu_ + np_ + nc

@@ -15,8 +15,9 @@ from bsqs.fem1d import VerticalMesh
 from bsqs.integrator import Simulator, _zero_state, initialize, InitialData
 from bsqs.mode_assembly import (Layout, ModeOperator, StepCoefficients,
                                 assemble_generator, build_step_matrix,
-                                build_step_rhs, dense_real_space_oracle,
-                                divergence_blocks, elastic_blocks,
+                                build_step_rhs, darcy_split,
+                                dense_real_space_oracle, dense_split,
+                                divergence_split, elastic_blocks,
                                 elastic_split, mode_symbols,
                                 monomial_weights, _mats)
 from bsqs.spectral import (ModeIndex, forward_transform, inverse_transform,
@@ -71,20 +72,38 @@ def block_matrix(blocks):
                       for c in range(3)] for a in range(3)])
 
 
+def form_at(split, kap1, kap2):
+    """A split form at the symbols (kap1, kap2), as a dense matrix."""
+    every = slice(None)
+    return np.tensordot(monomial_weights(kap1, kap2),
+                        dense_split(split, every, every), 1)
+
+
 @pytest.mark.parametrize("box, mu, lam", [("biot", 1.3, 0.7),
                                           ("fluid", 0.9, 0.0)])
 def test_elastic_split_reproduces_block_grid(rng, box, mu, lam):
     """sum_m kap**m A_m equals elastic_blocks at random symbols, for the
-    elastic (mu, lam) and the viscous (nu, 0) form."""
+    elastic (mu, lam) and the viscous (nu, 0) form; the divergence and
+    Darcy splits likewise give [i kap1 Mm, i kap2 Mm, Cm] and
+    |kap|^2 Mp + Kp."""
     mesh = VerticalMesh(box, 8)
     m = _mats(mesh)
     split = elastic_split(mesh, mu, lam)
+
+    def assert_close(combined, dense):
+        assert np.abs(combined - dense).max() <= 1e-14 * np.abs(dense).max()
+
     for kap1, kap2 in 2 * np.pi * rng.uniform(-8.0, 8.0, (6, 2)):
         dense = block_matrix(elastic_blocks(kap1, kap2, m["M"], m["K"],
                                             m["Ct"], mu, lam))
         combined = sum(c * A for c, A in
                        zip(monomial_weights(kap1, kap2), split)).toarray()
-        assert np.abs(combined - dense).max() <= 1e-14 * np.abs(dense).max()
+        assert_close(combined, dense)
+        assert_close(form_at(divergence_split(mesh), kap1, kap2),
+                     np.hstack([1j * kap1 * m["Mm"], 1j * kap2 * m["Mm"],
+                                m["Cm"]]))
+        assert_close(form_at(darcy_split(mesh), kap1, kap2),
+                     (kap1**2 + kap2**2) * m["Mp"] + m["Kp"])
 
 
 def test_elastic_split_is_sparse():
@@ -101,14 +120,16 @@ def test_divergence_blocks_pair_constant_divergence():
     # u = (0, 0, x3 - 1) on the Biot box has div u = 1; pairing with q = 1
     # gives the box volume 1
     m = _mats(MB)
-    blocks = divergence_blocks(0.0, 0.0, m["Mm"], m["Cm"])
-    u3 = (MB.nodes(2) - 1.0).astype(complex)
+    nn = MB.n_nodes(2)
+    split = divergence_split(MB)
+    u = np.zeros(3 * nn, dtype=complex)
+    u[2 * nn:] = MB.nodes(2) - 1.0
     q = np.ones(MB.n_nodes(1))
-    assert q @ (blocks[2] @ u3) == pytest.approx(1.0)
+    assert q @ (form_at(split, 0.0, 0.0) @ u) == pytest.approx(1.0)
     # lateral components carry the i*kappa symbols
-    kb = divergence_blocks(3.0, -2.0, m["Mm"], m["Cm"])
-    assert np.allclose(kb[0], 3j * m["Mm"])
-    assert np.allclose(kb[1], -2j * m["Mm"])
+    kb = form_at(split, 3.0, -2.0)
+    assert np.allclose(kb[:, :nn], 3j * m["Mm"])
+    assert np.allclose(kb[:, nn:2 * nn], -2j * m["Mm"])
 
 
 def test_layout_pack_unpack_round_trip(rng):
@@ -251,6 +272,33 @@ def test_generator_certificate_and_gram():
         evals = np.linalg.eigvalsh(W)
         assert evals.min() > 0
         assert generator_dissipativity_check(G, W) <= 1e-8
+
+
+@pytest.mark.parametrize("mode", [ModeIndex(0, 0), ModeIndex(1, 0),
+                                  ModeIndex(1, 2), ModeIndex(2, -3),
+                                  ModeIndex(4, 0)])
+def test_generator_and_steady_step_matrix_share_their_forms(mode):
+    """The generator's a_E block (in W), its Darcy block and its pressure
+    coupling of the w-row, interface point included, are the steady step
+    matrix's u-u, p-p and minus its u-p blocks.  W is block diagonal, so
+    W G gives the weak action L row block by row block."""
+    p = make_params(lam=1.3, mu=0.7, alpha=0.9, k_perm=0.8, beta=1.2)
+    G, W = assemble_generator(mode, p, MB, MF)
+    L = W @ G
+    A = build_step_matrix(mode, StepCoefficients(p, MB, MF, 0.1,
+                                                 steady=True)).toarray()
+    lay = Layout(MB, MF)
+    offs = lay.full_offsets()
+    iu = np.flatnonzero(MB.free_mask(2))
+    ip = np.flatnonzero(MB.free_mask(1))
+    u = lay.free_position[np.concatenate([offs[a] + iu for a in range(3)])]
+    q = lay.free_position[offs[3] + ip]
+    su, sw = slice(0, u.size), slice(u.size, 2 * u.size)
+    sp = slice(2 * u.size, 2 * u.size + q.size)
+    for generator, step in ((W[su, su], A[np.ix_(u, u)]),
+                            (-L[sp, sp], A[np.ix_(q, q)]),
+                            (L[sw, sp], -A[np.ix_(u, q)])):
+        assert np.abs(generator - step).max() <= 1e-14 * np.abs(step).max()
 
 
 # --- dense oracle ---------------------------------------------------------
