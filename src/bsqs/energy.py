@@ -4,7 +4,10 @@ residuals, and the generator dissipativity certificate.
 All norms are Parseval mode sums: a weighted sum over stored modes of
 profile^H * (vertical quadratic form) * profile, with weight 2 for modes whose
 conjugate partner is not stored.  They take fields whose data carry leading
-(time level) axes and then return one value per level.
+(time level) axes and then return one value per level.  energy() and
+dissipation_increment() also hand back the terms they sum, and the balance
+audit reads its breakdown from those, so it evaluates each norm once per
+level.
 """
 
 from __future__ import annotations
@@ -133,28 +136,44 @@ def slip_norm(s_prev, s_next, dt):
     return _value(np.sqrt(_trace_norm_sq(_slip_trace(s_prev, s_next, dt))))
 
 
-def energy(s, p: PhysicalParams):
-    """e = (1/2)[rho_b ||w||^2 + ||u||_E^2 + c0 ||p_b||^2 + rho_f ||v||^2]."""
-    e = elastic_norm_sq(s.u, p)
-    if p.rho_b > 0 and s.w is not None:
-        e += p.rho_b * l2_norm_sq(s.w)
-    if p.c0 > 0:
-        e += p.c0 * l2_norm_sq(s.p_b)
-    if p.rho_f > 0:
-        e += p.rho_f * l2_norm_sq(s.v)
-    return 0.5 * e
+def energy(s, p: PhysicalParams, terms=None):
+    """e = (1/2)[||u||_E^2 + rho_b ||w||^2 + c0 ||p_b||^2 + rho_f ||v||^2],
+    summed in that order from its halved terms.
+
+    `terms`, if given, is a dict that receives those halved terms under
+    "elastic", "kinetic_b", "storage" and "kinetic_f" (one value per level,
+    like e).  A term whose coefficient vanishes is zero and not evaluated."""
+    halves = {"elastic": 0.5 * elastic_norm_sq(s.u, p)}
+    zero = _value(np.zeros_like(halves["elastic"]))
+    # w is None iff rho_b = 0
+    for key, coef, fld in (("kinetic_b", p.rho_b, s.w),
+                           ("storage", p.c0, s.p_b),
+                           ("kinetic_f", p.rho_f, s.v)):
+        halves[key] = (0.5 * coef * l2_norm_sq(fld)
+                       if coef > 0 and fld is not None else zero)
+    if terms is not None:
+        terms.update(halves)
+    return sum(halves.values())
 
 
-def dissipation_increment(s_prev, s_next, p: PhysicalParams, dt):
-    """d_inc = dt [delta ||Dt u||_E^2 + k ||grad p^{n+1}||^2
-    + 2 nu ||D(v^{n+1})||^2 + beta ||slip||^2_interface]."""
-    total = p.k_perm * grad_norm_sq(s_next.p_b) \
-        + viscous_norm_sq(s_next.v, p.nu)
+def dissipation_increment(s_prev, s_next, p: PhysicalParams, dt, terms=None):
+    """d_inc = dt [k ||grad p^{n+1}||^2 + 2 nu ||D(v^{n+1})||^2
+    + delta ||Dt u||_E^2 + beta ||slip||^2_interface], summed in that order.
+
+    `terms`, if given, is a dict that receives the four bracketed terms
+    under "darcy", "viscous", "kelvin_voigt" and "slip" (one value per
+    increment, like d_inc).  The Kelvin-Voigt term is zero, not evaluated,
+    when delta = 0."""
+    darcy = p.k_perm * grad_norm_sq(s_next.p_b)
+    viscous = viscous_norm_sq(s_next.v, p.nu)
+    kv = _value(np.zeros_like(darcy))
     if p.delta > 0:
         du = replace(s_next.u, data=(s_next.u.data - s_prev.u.data) / dt)
-        total += p.delta * elastic_norm_sq(du, p)
-    total += p.beta * _trace_norm_sq(_slip_trace(s_prev, s_next, dt))
-    return dt * total
+        kv = p.delta * elastic_norm_sq(du, p)
+    slip = p.beta * _trace_norm_sq(_slip_trace(s_prev, s_next, dt))
+    if terms is not None:
+        terms.update(darcy=darcy, viscous=viscous, kelvin_voigt=kv, slip=slip)
+    return dt * (darcy + viscous + kv + slip)
 
 
 @dataclass
@@ -169,6 +188,7 @@ class EnergyReport:
     driven_constant: float | None = None
 
 
+# the breakdown's (and energy.csv's) column order
 _BREAKDOWN_KEYS = ("elastic", "storage", "kinetic_b", "kinetic_f",
                    "darcy", "viscous", "slip", "kelvin_voigt")
 
@@ -197,46 +217,17 @@ def _levels(s, sl):
     return replace(s, t=s.t[sl], **fields)
 
 
-def _level_terms(s, p: PhysicalParams) -> dict:
-    """The breakdown terms of each level of a stacked state.  A term whose
-    coefficient (c0, rho_b or rho_f) vanishes is zero and is not
-    evaluated."""
-    zeros = np.zeros(len(s.t))
-
-    def term(coef, norm, *args):
-        return coef * norm(*args) if coef else zeros
-
-    return {
-        "elastic": 0.5 * elastic_norm_sq(s.u, p),
-        "storage": term(0.5 * p.c0, l2_norm_sq, s.p_b),
-        # w is None iff rho_b = 0
-        "kinetic_b": term(0.5 * p.rho_b, l2_norm_sq, s.w),
-        "kinetic_f": term(0.5 * p.rho_f, l2_norm_sq, s.v),
-        "darcy": p.k_perm * grad_norm_sq(s.p_b),
-        "viscous": viscous_norm_sq(s.v, p.nu),
-    }
-
-
-def _increment_terms(prev, nxt, p: PhysicalParams, dt) -> dict:
-    """The breakdown terms of each increment prev -> nxt of stacked states;
-    the Kelvin-Voigt term is zero, not evaluated, when delta = 0."""
-    kv = np.zeros(len(nxt.t))
-    if p.delta > 0:
-        du = replace(nxt.u, data=(nxt.u.data - prev.u.data) / dt)
-        kv = p.delta * elastic_norm_sq(du, p)
-    return {"slip": p.beta * _trace_norm_sq(_slip_trace(prev, nxt, dt)),
-            "kelvin_voigt": kv}
-
-
 def audit(traj, p: PhysicalParams, sources: SourceSpec = None) -> EnergyReport:
     """Populate the per-step balance report from the trajectory's states,
     sampling each step's sources once.  For source-free runs asserts the
     dissipation inequality e_n + d_n <= e_0 up to roundoff tolerance.
 
     The norms are evaluated over blocks of _BLOCK levels, stacked with the
-    level before each block for the increments.  The sums, the source work
-    and the balance check run level by level, so a violation is raised at
-    the first level that breaks the inequality."""
+    level before each block for the increments; each is evaluated once per
+    level, by energy() and dissipation_increment(), and the breakdown is the
+    terms they sum.  The sums, the source work and the balance check run
+    level by level, so a violation is raised at the first level that breaks
+    the inequality."""
     states = traj.states
     dt = states[1].t - states[0].t if len(states) > 1 else 0.0
     rep = EnergyReport(breakdown={k: [] for k in _BREAKDOWN_KEYS})
@@ -246,21 +237,26 @@ def audit(traj, p: PhysicalParams, sources: SourceSpec = None) -> EnergyReport:
     sampled = []
     d_cum = 0.0
     work = 0.0
-    inc_terms = {"slip": (), "kelvin_voigt": ()}  # none before level 1
+    # level 0 ends no increment: its Darcy and viscous terms are evaluated
+    # from its own state, and its Kelvin-Voigt and slip terms are zero
+    first = {"darcy": p.k_perm * grad_norm_sq(states[0].p_b),
+             "viscous": viscous_norm_sq(states[0].v, p.nu),
+             "kelvin_voigt": 0.0, "slip": 0.0}
     for start in range(0, len(states), _BLOCK):
         lo = max(start - 1, 0)
         blk = _stack(states[lo:start + _BLOCK])
-        cur = _levels(blk, slice(start - lo, None))
-        e = energy(cur, p).tolist()
-        terms = {k: v.tolist() for k, v in _level_terms(cur, p).items()}
+        level_terms, inc_terms = {}, {}
+        e = energy(_levels(blk, slice(start - lo, None)), p,
+                   level_terms).tolist()
         if len(blk.t) > 1:
             # increment j of the block ends at its level lo + 1 + j
             prev = _levels(blk, slice(None, -1))
             nxt = _levels(blk, slice(1, None))
-            d_inc = dissipation_increment(prev, nxt, p, dt).tolist()
+            d_inc = dissipation_increment(prev, nxt, p, dt,
+                                          inc_terms).tolist()
             slip = slip_norm(prev, nxt, dt).tolist()
-            inc_terms = {k: v.tolist() for k, v
-                         in _increment_terms(prev, nxt, p, dt).items()}
+        level_terms = {k: v.tolist() for k, v in level_terms.items()}
+        inc_terms = {k: v.tolist() for k, v in inc_terms.items()}
         for i, s in enumerate(states[start:start + _BLOCK]):
             n = start + i
             j = n - lo - 1
@@ -282,10 +278,10 @@ def audit(traj, p: PhysicalParams, sources: SourceSpec = None) -> EnergyReport:
             rep.d_cum.append(d_cum)
             rep.residual.append(r_n)
             rep.slip.append(slip[j] if n else 0.0)
-            for k, vals in terms.items():
+            for k, vals in level_terms.items():
                 rep.breakdown[k].append(vals[i])
-            for k, vals in inc_terms.items():
-                rep.breakdown[k].append(vals[j] if n else 0.0)
+            for k, at_0 in first.items():
+                rep.breakdown[k].append(inc_terms[k][j] if n else at_0)
     if not source_free:
         bound = e0 + _dual_source_quadrature(states[0], p, sampled, dt)
         peak = max(en + dn for en, dn in zip(rep.e, rep.d_cum))

@@ -247,6 +247,56 @@ def test_audit_blocks_match_single_level_calls(monkeypatch):
                                    err_msg=key)
 
 
+def test_audit_evaluates_each_norm_once_per_level(monkeypatch):
+    """Across a block boundary (11 levels), one audit's elastic_norm_sq sees
+    each state's u once and each increment's D_t u once, and the Darcy,
+    viscous and L2 norms see each state once (three L2 terms when rho_b, c0
+    and rho_f are positive): the breakdown is read from the terms energy()
+    and dissipation_increment() sum, not evaluated again."""
+    cfg = make_config(t_end=10 / 16)
+    p, dt = cfg.params, cfg.disc.dt
+    traj = run(cfg, InitialData.from_callables(
+        cfg, **smooth_initial_callables(alpha=p.alpha)))
+    us = [s.u.data for s in traj.states]
+    dus = [(b - a) / dt for a, b in zip(us, us[1:])]
+    seen = {"elastic_norm_sq": [], "grad_norm_sq": [], "viscous_norm_sq": [],
+            "l2_norm_sq": []}
+    for name, levels in seen.items():
+        def counted(fld, *args, norm=getattr(en, name), levels=levels):
+            levels.extend(fld.data.reshape((-1,) + fld.data.shape[-4:]))
+            return norm(fld, *args)
+        monkeypatch.setattr(en, name, counted)
+    en.audit(traj, p)
+    monkeypatch.undo()
+    elastic = seen["elastic_norm_sq"]
+    assert len(elastic) == len(us) + len(dus)
+    for targets in (us, dus):
+        assert [sum(np.array_equal(x, t) for x in elastic)
+                for t in targets] == [1] * len(targets)
+    assert len(seen["grad_norm_sq"]) == len(seen["viscous_norm_sq"]) == 11
+    assert len(seen["l2_norm_sq"]) == 3 * 11
+
+
+@pytest.mark.parametrize("regime", REGIMES_16)
+def test_audit_sums_its_breakdown(regime):
+    """Bit for bit, each e[n] is the sum of its four energy terms and each
+    d_cum step is dt times the sum of its four dissipation terms, in the
+    order energy() and dissipation_increment() add them."""
+    cfg = make_config(params=make_params(**regime), t_end=3 / 16)
+    dt = cfg.disc.dt
+    traj = run(cfg, InitialData.from_callables(
+        cfg, **smooth_initial_callables(alpha=cfg.params.alpha)))
+    rep = en.audit(traj, cfg.params)
+    b = rep.breakdown
+    for n, e in enumerate(rep.e):
+        assert e == b["elastic"][n] + b["kinetic_b"][n] + b["storage"][n] \
+            + b["kinetic_f"][n]
+    for n in range(1, len(rep.e)):
+        d_inc = dt * (b["darcy"][n] + b["viscous"][n] + b["kelvin_voigt"][n]
+                      + b["slip"][n])
+        assert rep.d_cum[n] == rep.d_cum[n - 1] + d_inc
+
+
 def test_driven_audit_reports_finite_constant():
     cfg = make_config()
     src = SourceSpec(F_b=(None, None,
