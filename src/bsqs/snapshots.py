@@ -17,7 +17,7 @@ import numpy as np
 from .errors import FormatError, GridMismatch
 from .fem1d import VerticalMesh
 from .integrator import State
-from .spectral import SpectralField, forward_transform, inverse_transform
+from .spectral import forward_transform, inverse_transform
 
 MAGIC = b"BSQS1"
 
@@ -34,26 +34,24 @@ def write_snapshot(s: State, path, regime=None):
     physical parameters recorded in the header for provenance."""
     has_w = s.w is not None
     n1, n2 = s.u.lateral_shape
-    payload = bytearray()
-    for name, ncomp in _field_order(has_w):
-        fld: SpectralField = getattr(s, name)
-        samples = inverse_transform(fld)            # (n1, n2, ncomp, nodes)
-        arr = np.ascontiguousarray(samples, dtype="<f8")
-        payload.extend(arr.tobytes())
+    # each field's samples (n1, n2, ncomp, nodes), raveled into one buffer
+    payload = np.concatenate([inverse_transform(getattr(s, name)).ravel()
+                              for name, _ in _field_order(has_w)],
+                             dtype="<f8")
     header = {
         "n1": n1, "n2": n2,
         "nb": s.u.mesh.ncells, "nf": s.v.mesh.ncells,
         "t": s.t,
         "fields": [[name, ncomp] for name, ncomp in _field_order(has_w)],
         "regime": dict(regime) if regime else {},
-        "crc32": zlib.crc32(bytes(payload)) & 0xFFFFFFFF,
+        "crc32": zlib.crc32(payload) & 0xFFFFFFFF,
     }
     blob = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<Q", len(blob)))
         f.write(blob)
-        f.write(bytes(payload))
+        f.write(payload)
 
 
 def read_snapshot(path) -> tuple[State, dict]:
