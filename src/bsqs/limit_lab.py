@@ -75,17 +75,22 @@ def _difference(a, b, name, sl):
     return replace(fa, data=fa.data[sl] - getattr(b, name).data[sl])
 
 
-def trajectory_distance(a: Trajectory, b: Trajectory, params) -> dict:
+def trajectory_distance(a: Trajectory, b: Trajectory, params,
+                        blocks=None) -> dict:
     """The four discrete limit-topology distances between two trajectories
     sharing a grid, data, and sources, with the norms evaluated over blocks
-    of energy._BLOCK levels at once."""
+    of energy._BLOCK levels at once.  `blocks`, if given, is the pair of
+    lists of the blocks of a and of b (_blocks) stacked already, so that a
+    sweep stacks each trajectory once."""
     check_same_grid(a, b)
     dt = a.states[1].t - a.states[0].t
     d1_sq = 0.0
     d2_sq = 0.0
     d3_sq = 0.0
     d4_sq = 0.0
-    for (sa, own), (sb, _) in zip(_blocks(a.states), _blocks(b.states)):
+    if blocks is None:
+        blocks = _blocks(a.states), _blocks(b.states)
+    for (sa, own), (sb, _) in zip(*blocks):
         d1_sq = max(d1_sq, float(np.max(elastic_norm_sq(
             _difference(sa, sb, "u", own), params))))
         d2_sq += dt * float(np.sum(grad_norm_sq(
@@ -99,14 +104,15 @@ def trajectory_distance(a: Trajectory, b: Trajectory, params) -> dict:
             "D3": float(np.sqrt(d3_sq)), "D4": float(np.sqrt(d4_sq))}
 
 
-def _vanishing_terms(traj: Trajectory, params) -> dict:
+def _vanishing_terms(traj: Trajectory, params, blocks) -> dict:
     """Magnitudes of the terms the limit passage sends to zero, with the
-    norms evaluated over blocks of energy._BLOCK levels at once."""
+    norms evaluated over the list of the trajectory's stacked blocks
+    (_blocks)."""
     dt = traj.states[1].t - traj.states[0].t
     max_dtu_l2 = 0.0
     max_dtu_e = 0.0
     max_v = 0.0
-    for blk, _ in _blocks(traj.states):
+    for blk, _ in blocks:
         du = replace(blk.u, data=(blk.u.data[_NEXT] - blk.u.data[_PREV]) / dt)
         max_dtu_l2 = max(max_dtu_l2, float(np.max(l2_norm_sq(du))))
         max_dtu_e = max(max_dtu_e, float(np.max(elastic_norm_sq(du, params))))
@@ -132,12 +138,14 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> DistanceReport:
     spec.validate()
     ref_cfg = _swept_config(spec.base, spec.param, 0.0)
     ref = run(ref_cfg, spec.data)
+    ref_blocks = list(_blocks(ref.states))
     rep = DistanceReport()
     for value in spec.values:
         cfg = _swept_config(spec.base, spec.param, value)
         traj = run(cfg, spec.data)
-        d = trajectory_distance(traj, ref, cfg.params)
-        extras = _vanishing_terms(traj, cfg.params)
+        blocks = list(_blocks(traj.states))
+        d = trajectory_distance(traj, ref, cfg.params, (blocks, ref_blocks))
+        extras = _vanishing_terms(traj, cfg.params, blocks)
         rep.values.append(value)
         rep.D1.append(d["D1"])
         rep.D2.append(d["D2"])
@@ -146,6 +154,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> DistanceReport:
         rep.kinetic_b.append(extras["kinetic_b"])
         rep.kinetic_f.append(extras["kinetic_f"])
         rep.delta_term.append(extras["delta_term"])
+        del traj, blocks    # dropped before the next run builds its own
     return rep
 
 
