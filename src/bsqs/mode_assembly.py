@@ -255,6 +255,27 @@ def elastic_split(mesh: VerticalMesh, mu: float, lam: float):
     return tuple(split)
 
 
+def _csr(M, shape, offset=0):
+    """The dense matrix M as a complex CSR matrix of `shape`, placed from
+    column `offset` on: its nonzero entries, stored row by row in column
+    order as csr_matrix(M) stores them."""
+    i, j = np.nonzero(M)
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(i, minlength=shape[0]), out=indptr[1:])
+    return scipy.sparse.csr_matrix(
+        (M[i, j].astype(complex), (j + offset).astype(np.int32), indptr),
+        shape=shape)
+
+
+def _empty(shape):
+    """A read-only all-zero complex CSR matrix of `shape`, shared by the
+    monomials a split does not hold."""
+    E = scipy.sparse.csr_matrix(shape, dtype=complex)
+    for arr in (E.data, E.indices, E.indptr):
+        arr.setflags(write=False)
+    return E
+
+
 @lru_cache(maxsize=None)
 def divergence_split(mesh: VerticalMesh):
     """The (div u, q) pairing split over MONOMIALS as elastic_split splits
@@ -262,12 +283,13 @@ def divergence_split(mesh: VerticalMesh):
     at (1, 0), i*Mm on u2 at (0, 1), Cm on u3 at (0, 0), zero elsewhere.
     The result is shared; do not modify it."""
     m = _mats(mesh)
-    zero = np.zeros_like(m["Mm"])
-    blocks = {(0, 0): (zero, zero, m["Cm"]),
-              (1, 0): (1j * m["Mm"], zero, zero),
-              (0, 1): (zero, 1j * m["Mm"], zero)}
-    return tuple(scipy.sparse.csr_matrix(np.hstack(blocks.get(k, (zero,) * 3)),
-                                         dtype=complex) for k in MONOMIALS)
+    nn = m["Mm"].shape[1]
+    shape = (m["Mm"].shape[0], 3 * nn)
+    parts = {(0, 0): _csr(m["Cm"], shape, 2 * nn),
+             (1, 0): _csr(1j * m["Mm"], shape),
+             (0, 1): _csr(1j * m["Mm"], shape, nn)}
+    empty = _empty(shape)
+    return tuple(parts.get(k, empty) for k in MONOMIALS)
 
 
 @lru_cache(maxsize=None)
@@ -276,9 +298,11 @@ def darcy_split(mesh: VerticalMesh):
     MONOMIALS on P1 profiles: Kp at (0, 0), Mp at (2, 0) and (0, 2), zero
     elsewhere.  The result is shared; do not modify it."""
     m = _mats(mesh)
-    parts = {(0, 0): m["Kp"], (2, 0): m["Mp"], (0, 2): m["Mp"]}
-    return tuple(scipy.sparse.csr_matrix(parts.get(k, np.zeros_like(m["Mp"])),
-                                         dtype=complex) for k in MONOMIALS)
+    shape = m["Mp"].shape
+    Mp = _csr(m["Mp"], shape)
+    parts = {(0, 0): _csr(m["Kp"], shape), (2, 0): Mp, (0, 2): Mp}
+    empty = _empty(shape)
+    return tuple(parts.get(k, empty) for k in MONOMIALS)
 
 
 @lru_cache(maxsize=None)
