@@ -112,8 +112,8 @@ def forward_transform(samples: np.ndarray, mesh: VerticalMesh, degree: int
     if samples.shape[3] != mesh.n_nodes(degree):
         raise DimensionMismatch(
             f"vertical axis {samples.shape[3]} != {mesh.n_nodes(degree)} nodes")
-    coeff = np.fft.fft2(samples, axes=(0, 1)) / (n1 * n2)
-    return SpectralField(mesh, degree, np.ascontiguousarray(coeff[: n1 // 2 + 1]))
+    coeff = np.fft.rfftn(samples, axes=(1, 0)) / (n1 * n2)
+    return SpectralField(mesh, degree, np.ascontiguousarray(coeff))
 
 
 def enforce_hermitian(field: SpectralField) -> SpectralField:
@@ -128,15 +128,14 @@ def enforce_hermitian(field: SpectralField) -> SpectralField:
 
 
 def inverse_transform(field: SpectralField) -> np.ndarray:
-    """Half-spectrum -> real samples (n1, n2, ncomp, n_nodes)."""
-    sym = enforce_hermitian(field)
-    n1, n2 = sym.lateral_shape
-    full = np.empty((n1, n2) + sym.data.shape[2:], dtype=complex)
-    full[: n1 // 2 + 1] = sym.data
-    for k1 in range(n1 // 2 + 1, n1):
-        full[k1] = np.conj(sym.data[n1 - k1, (-np.arange(n2)) % n2])
-    out = np.fft.ifft2(full, axes=(0, 1)) * (n1 * n2)
-    return np.ascontiguousarray(out.real)
+    """Half-spectrum -> real samples (n1, n2, ncomp, n_nodes).
+
+    The real transform in k1 drops the imaginary parts that the
+    self-conjugate columns k1 = 0 and n1/2 keep after the k2 transform,
+    which is the projection of enforce_hermitian."""
+    n1, n2 = field.lateral_shape
+    out = np.fft.irfftn(field.data, s=(n2, n1), axes=(1, 0)) * (n1 * n2)
+    return np.ascontiguousarray(out)
 
 
 def lateral_grid(n1: int, n2: int):

@@ -53,6 +53,33 @@ def test_round_trip_exact(rng):
     assert np.allclose(back, samples, atol=1e-13)
 
 
+def hermitian_inverse(fld):
+    """enforce_hermitian, then the full spectrum from Hermitian symmetry and
+    a complex ifft2: the reference for inverse_transform's real FFT."""
+    sym = enforce_hermitian(fld)
+    n1, n2 = sym.lateral_shape
+    full = np.empty((n1, n2) + sym.data.shape[2:], dtype=complex)
+    full[: n1 // 2 + 1] = sym.data
+    for k1 in range(n1 // 2 + 1, n1):
+        full[k1] = np.conj(sym.data[n1 - k1, (-np.arange(n2)) % n2])
+    return (np.fft.ifft2(full, axes=(0, 1)) * (n1 * n2)).real
+
+
+@pytest.mark.parametrize("n1, n2", [(4, 4), (6, 4), (8, 6)])
+def test_inverse_transform_projects_like_enforce_hermitian(rng, n1, n2):
+    """On random half spectra that are not Hermitian on the self-conjugate
+    columns and carry Nyquist content, the real inverse FFT equals the
+    projection followed by a complex inverse FFT."""
+    shape = (n1 // 2 + 1, n2, 3, MESH.n_nodes(2))
+    fld = SpectralField(MESH, 2, rng.standard_normal(shape)
+                        + 1j * rng.standard_normal(shape))
+    want = hermitian_inverse(fld)
+    got = inverse_transform(fld)
+    assert got.shape == (n1, n2, 3, MESH.n_nodes(2))
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-14 * np.abs(want).max())
+
+
 def test_forward_scalar_promotes_component_axis(rng):
     samples = rng.standard_normal((4, 4, MESH.n_nodes(1)))
     fld = forward_transform(samples, MESH, 1)
