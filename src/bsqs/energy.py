@@ -3,8 +3,10 @@ residuals, and the generator dissipativity certificate.
 
 All norms are Parseval mode sums: a weighted sum over stored modes of
 profile^H * (vertical quadratic form) * profile, with weight 2 for modes whose
-conjugate partner is not stored.  They take fields whose data carry leading
-(time level) axes and then return one value per level.  energy() and
+conjugate partner is not stored.  Each mode's form is evaluated in the frame
+of its wave vector, where it is real (mode_assembly.frame_split).  They take
+fields whose data carry leading (time level) axes and then return one value
+per level, which does not depend on the other levels evaluated with it.  energy() and
 dissipation_increment() also hand back the terms they sum, and the balance
 audit reads its breakdown from those, so it evaluates each norm once per
 level.
@@ -18,30 +20,33 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .config import PhysicalParams, SourceSpec
-from .errors import BalanceViolation
+from .errors import BalanceViolation, SingularSystem
 from .fem1d import evaluate_derivative, mass, operator_matrix
-from .mode_assembly import (MONOMIALS, _mats, darcy_split, dense_split,
-                            divergence_split, elastic_split,
-                            monomial_weights, wave_frames)
+from .mode_assembly import (Layout, _entries, _mats, darcy_split,
+                            divergence_split, elastic_split, frame_split,
+                            wave_frames)
 from .spectral import (SpectralField, lateral_l2_norm_sq, mode_table,
                        mode_weights, parseval_weights_grid, sample_sources)
 
 TWO_PI = 2.0 * np.pi
 
-# columns of the monomials kap1^2, kap2^2 in _mode_monomials
-_K11, _K22 = (MONOMIALS.index(m) for m in ((2, 0), (0, 2)))
-
 
 @lru_cache(maxsize=None)
-def _mode_monomials(n1: int, n2: int) -> np.ndarray:
-    """kap**m of every stored mode (rows, storage order) and monomial
-    (columns, MONOMIALS order)."""
-    kap = TWO_PI * np.array(mode_table(n1, n2), dtype=float)
-    powers = monomial_weights(kap[:, 0], kap[:, 1])
-    powers.setflags(write=False)
-    return powers
+def _frame_modes(n1: int, n2: int):
+    """Per stored mode (storage order): the frame symbol kap = 2 pi |k| and
+    the Parseval weight, and the frame (c, s) of the wave vector repeated
+    over the (re, im) pair of each mode's coefficient."""
+    modes = mode_table(n1, n2)
+    _, _, c, s = wave_frames(modes)
+    kap = TWO_PI * np.hypot(*np.array(modes, dtype=float).T)
+    out = (kap, np.repeat(c, 2), np.repeat(s, 2),
+           np.repeat(mode_weights(n1, n2), n2))
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def _value(out):
@@ -50,64 +55,78 @@ def _value(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _parseval_form(fld: SpectralField, terms):
-    """Sum over stored modes of weight * Re(profile^H A(kap) profile) for
-    A(kap) = sum over terms (c, A) of c * A, where A is a mode-independent
-    (sparse) matrix on the component-major profile and c its per-mode (or
-    constant) coefficient.
+def _frame_form(fld: SpectralField, mats, turn: bool):
+    """Sum over stored modes of weight * Re(z^H A(kap) z), for the real form
+    A(kap) = sum over m of kap**m * mats[m] (mats: real CSR matrices on the
+    component-major profile, the frame coefficients of mode_assembly's
+    frame_split) at each mode's frame symbol kap = 2 pi |k|.
+
+    z is the mode's profile; with `turn` its (first, second) components are
+    turned into the wave-vector frame, (-i u_L, u_T), inside the one
+    transpose copy into the (ncomp * nn, levels * modes) profile matrix P.
+    Then Re(z^H A z) per column is a real dot product of P and A P viewed as
+    interleaved (re, im) pairs: one real product per matrix.
 
     Any leading axes of fld.data (time levels, say) are kept: the result has
-    one value per level, or is a float without them.  Each term is one
-    product with the C-contiguous (ncomp * nn, levels * modes) profile matrix
-    P, and Re(P^H A P) per column is a real dot product of the two matrices
-    viewed as interleaved (re, im) pairs, so no conjugate is formed."""
+    one value per level, or is a float without them.  Every step of a
+    level's value depends only on that level's columns, so it does not
+    depend on how many levels are evaluated with it."""
     lead = fld.data.shape[:-4]
-    n1, n2 = fld.lateral_shape
-    size = fld.data.shape[-2] * fld.data.shape[-1]
-    P = np.ascontiguousarray(fld.data.reshape(-1, size).T)
+    kap, c, s, w = _frame_modes(*fld.lateral_shape)
+    ncomp, nn = fld.data.shape[-2:]
+    P = np.ascontiguousarray(fld.data.reshape(-1, ncomp * nn).T)
+    if turn:
+        # u1 and u2 as (re, im) float views (nn, levels, 2 * modes)
+        V = P.view(float).reshape(ncomp, nn, -1, c.size)
+        a, b = V[0], V[1]
+        u_l = a * c                     # u_L = c u1 + s u2
+        t = b * s
+        u_l += t
+        b *= c                          # u_T = c u2 - s u1, in place
+        np.multiply(a, s, out=t)
+        b -= t
+        np.multiply(u_l.view(complex), -1j, out=a.view(complex))
     Pr = P.view(float)
     quad = 0.0
-    for c, A in terms:
-        re = np.einsum("ij,ij->j", Pr, (A @ P).view(float))
-        re = re.reshape(-1, 2).sum(axis=1).reshape(lead + (-1,))
-        quad = quad + c * re
-    return _value(quad @ np.repeat(mode_weights(n1, n2), n2))
+    for power, A in enumerate(mats):
+        if A.nnz:
+            q = np.einsum("ij,ij->j", Pr, A @ Pr).reshape(-1, kap.size, 2)
+            quad = quad + kap**power * q.sum(axis=-1)
+    return _value((quad * w).sum(axis=-1).reshape(lead))
 
 
 @lru_cache(maxsize=None)
-def _gram(mesh, degree: int, ncomp: int = 1, derivative: int = 0):
-    """Sparse (banded) vertical Gram matrix of the values (derivative 0) or
-    derivatives (1) of a degree-`degree` field, block-diagonal over its
-    `ncomp` components on the component-major profile."""
-    G = scipy.sparse.csr_matrix(
-        operator_matrix(mesh, degree, degree, derivative, derivative))
+def _gram(mesh, degree: int, ncomp: int = 1):
+    """Sparse (banded) vertical mass Gram matrix of a degree-`degree` field,
+    block-diagonal over its `ncomp` components on the component-major
+    profile."""
+    G = scipy.sparse.csr_matrix(operator_matrix(mesh, degree, degree, 0, 0))
     return scipy.sparse.kron(scipy.sparse.identity(ncomp), G, format="csr")
 
 
 def elastic_norm_sq(u: SpectralField, p: PhysicalParams):
     """a_E(u, u) = 2 mu ||D(u)||^2 + lam ||div u||^2 over all modes at once,
-    from the monomial split of the form (per level of any leading axes)."""
-    return _parseval_form(u, zip(_mode_monomials(*u.lateral_shape).T,
-                                 elastic_split(u.mesh, p.mu, p.lam)))
+    from the frame matrices of the form's split (per level of any leading
+    axes)."""
+    return _frame_form(u, frame_split(elastic_split, u.mesh, p.mu, p.lam),
+                       turn=True)
 
 
 def viscous_norm_sq(v: SpectralField, nu: float):
     """2 nu ||D(v)||^2 (the Stokes dissipation quadratic form)."""
-    return _parseval_form(v, zip(_mode_monomials(*v.lateral_shape).T,
-                                 elastic_split(v.mesh, nu, 0.0)))
+    return _frame_form(v, frame_split(elastic_split, v.mesh, nu, 0.0),
+                       turn=True)
 
 
 def grad_norm_sq(p_b: SpectralField):
-    """||grad p||^2 with lateral symbols: sum kappa^2 |p|^2 + |p'|^2."""
-    powers = _mode_monomials(*p_b.lateral_shape)
-    kap_sq = powers[:, _K11] + powers[:, _K22]
-    return _parseval_form(p_b, ((1.0, _gram(p_b.mesh, 1, derivative=1)),
-                                (kap_sq, _gram(p_b.mesh, 1))))
+    """||grad p||^2 with lateral symbols: sum kappa^2 |p|^2 + |p'|^2, the
+    Darcy form's split Kp + kappa^2 Mp."""
+    return _frame_form(p_b, frame_split(darcy_split, p_b.mesh), turn=False)
 
 
 def l2_norm_sq(fld: SpectralField):
-    return _parseval_form(fld, ((1.0, _gram(fld.mesh, fld.degree,
-                                            fld.ncomp)),))
+    return _frame_form(fld, (_gram(fld.mesh, fld.degree, fld.ncomp),),
+                       turn=False)
 
 
 def l2_norm(fld: SpectralField) -> float:
@@ -120,7 +139,7 @@ def _trace_norm_sq(values):
     (level) axes are kept."""
     n1h, n2 = values.shape[-3:-1]
     w = mode_weights(2 * (n1h - 1), n2)
-    return _value((np.abs(values) ** 2).sum(axis=(-2, -1)) @ w)
+    return _value(((np.abs(values) ** 2).sum(axis=(-2, -1)) * w).sum(axis=-1))
 
 
 def _slip_trace(s_prev, s_next, dt):
@@ -313,18 +332,46 @@ def _source_work(prev, s, fields, dt):
     return total
 
 
+def _band_form(entries, position, n):
+    """A real form sum over m of kap**m A_m on n unknowns, from the entries
+    (rows, cols, values) of each A_m (a list per m of lists of entries, in a
+    local index space that `position` maps to the band order; -1 drops a
+    DOF).  Returns (coeffs, band_rows, cols, kl, ku): the values of every A_m
+    on their union pattern, shape (len(entries), nnz), and each entry's row
+    and column in LAPACK band storage with kl rows of fill on top."""
+    keys, values = [], []
+    for parts in entries:
+        r, c, v = (np.concatenate(x) for x in zip(*parts))
+        r, c = position[r], position[c]
+        keep = (r >= 0) & (c >= 0)
+        keys.append(r[keep] * n + c[keep])
+        values.append(v[keep])
+    keys, slot = np.unique(np.concatenate(keys), return_inverse=True)
+    coeffs = np.zeros((len(entries), keys.size))
+    start = 0
+    for m, v in enumerate(values):
+        np.add.at(coeffs[m], slot[start:start + v.size], v)
+        start += v.size
+    rows, cols = np.divmod(keys, n)
+    kl, ku = int((rows - cols).max()), int((cols - rows).max())
+    return coeffs, kl + ku + rows - cols, cols, kl, ku
+
+
 def _dual_source_quadrature(s0, p, sampled, dt):
     """Time quadrature of the source norms entering the a-priori bound:
     ||F_b||_{L2}^2 plus discrete dual norms of S (against the Darcy form) and
     F_f (against the viscous form on the divergence-free subspace), from the
     sources (Fb, S, Ff) sampled at each step's implicit level.
 
-    The dual norms need a Gram matrix and, for F_f, a basis of the
-    divergence-free subspace.  In the frame of a mode's wave vector both
-    depend only on |k|^2 (the forms are laterally isotropic, and a turn of
-    the frame is orthogonal, so the dual norm does not depend on it): each
-    distinct |k|^2 is set up once, at the frame symbols (2 pi |k|, 0), and
-    applied to the frame-turned loads of all its modes and steps at once."""
+    The dual norm of F_f on the divergence-free subspace is the load's
+    pairing with the velocity of the Stokes saddle-point system
+    [[AV, B^T], [B, 0]] (B the divergence pairing), so no basis of the
+    subspace is formed.  In the frame of a mode's wave vector both forms
+    depend only on |k|^2 and, with the longitudinal components carrying a
+    factor -i (frame_split), are real: each distinct |k|^2 is factored once
+    as one real band matrix, at the frame symbols (2 pi |k|, 0), in the
+    node-interleaved order of the step's free DOFs, and applied to the
+    frame-turned loads of all its modes and steps at once."""
     n1, n2 = s0.u.lateral_shape
     mb, mf = s0.u.mesh, s0.v.mesh
     bm = _mats(mb)
@@ -342,49 +389,66 @@ def _dual_source_quadrature(s0, p, sampled, dt):
         if Ff is not None:
             Ff_loads.append(Ff.data @ fm["M"])
 
-    def dual_sum(L, free, setup):
-        """dt * sum over modes and steps of w * load^H G^{-1} load on the
-        free DOFs, for loads L (modes, profile, steps) and, per distinct
-        |k|^2, (basis, G) = setup(frame symbol) (basis None: all)."""
-        L = L[:, free]
+    def dual_sum(loads, form):
+        """dt * sum over modes and steps of w * Re(l^H A(kap)^-1 l), for the
+        loads l (modes, n, steps) in band order and the band form (_band_form)
+        of the real frame matrix A(kap): factored once per distinct |k|^2
+        (dgbtrf), with the loads of all its modes and steps solved at once as
+        (re, im) columns (dgbtrs)."""
+        coeffs, band_rows, cols, kl, ku = form
+        n = loads.shape[1]
         out = 0.0
         for g, idx in enumerate(first):
             members = np.flatnonzero(shell == g)
-            Z, G = setup(TWO_PI * np.hypot(*modes[idx]))
-            load = np.moveaxis(L[members], 0, 1).reshape(len(free), -1)
-            zl = load if Z is None else Z.conj().T @ load
-            per = np.einsum("is,is->s", zl.conj(), np.linalg.solve(G, zl))
-            out += w[members] @ per.real.reshape(members.size, -1).sum(axis=1)
+            kap = TWO_PI * np.hypot(*modes[idx])
+            ab = np.zeros((2 * kl + ku + 1, n), order="F")
+            ab[band_rows, cols] = kap ** np.arange(len(coeffs)) @ coeffs
+            lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
+            if info != 0:
+                raise SingularSystem(modes[idx],
+                                     f"band LU failed (dgbtrf info {info})")
+            rhs = np.ascontiguousarray(
+                np.moveaxis(loads[members], 0, 1).reshape(n, -1)).view(float)
+            x, _ = dgbtrs(lu, kl, ku, rhs, piv)
+            per = np.einsum("ij,ij->j", rhs, x).reshape(members.size, -1)
+            out += w[members] @ per.sum(axis=1)
         return dt * out
 
     def stacked(loads):
         return np.stack(loads, axis=-1).reshape(len(w), -1, len(loads))
 
     if S_loads:
-        pidx = np.flatnonzero(mb.free_mask(1))
-        darcy = dense_split(darcy_split(mb), pidx, pidx)
-        total += dual_sum(stacked(S_loads), pidx, lambda kap: (
-            None, np.tensordot(monomial_weights(kap, 0.0), darcy, 1)))
+        # the free pressure DOFs in node order
+        free = mb.free_mask(1)
+        position = np.where(free, np.cumsum(free) - 1, -1)
+        form = _band_form([[e] for e in _entries(frame_split, darcy_split,
+                                                 mb)],
+                          position, int(free.sum()))
+        total += dual_sum(stacked(S_loads)[:, free], form)
     if Ff_loads:
-        nn = mf.n_nodes(2)
-        vidx = np.flatnonzero(mf.free_mask(2))
-        free = np.concatenate([a * nn + vidx for a in range(3)])
-        viscous = dense_split(elastic_split(mf, p.nu, 0.0), free, free)
-        div = dense_split(divergence_split(mf), slice(None), free)
-
-        def viscous_setup(kap):
-            weights = monomial_weights(kap, 0.0)
-            AV = np.tensordot(weights, viscous, 1)
-            DivF = np.tensordot(weights, div, 1)
-            Z = scipy.linalg.null_space(DivF)
-            return Z, Z.conj().T @ AV @ Z
-
-        # the loads' (F_f1, F_f2) components turned into each mode's frame
-        L = stacked(Ff_loads).reshape(len(w), 3, nn, -1)
+        # the fluid DOFs (v component-major, then p_f) lead the step's free
+        # order; their block of it is the Stokes system's band order
+        lay = Layout(mb, mf)
+        nv = 3 * mf.n_nodes(2)
+        position = lay.free_position[lay.full_offsets()[4]:]
+        n = int((position >= 0).sum())
+        # per monomial: AV, then B below it and B^T beside it
+        form = _band_form(
+            [[viscous, (nv + rows, cols, vals), (cols, nv + rows, vals)]
+             for viscous, (rows, cols, vals) in zip(
+                 _entries(frame_split, elastic_split, mf, p.nu, 0.0),
+                 _entries(frame_split, divergence_split, mf))],
+            position, n)
+        # the loads' (F_f1, F_f2) components turned into each mode's frame,
+        # as (-i l_L, l_T)
+        L = stacked(Ff_loads).reshape(len(w), 3, nv // 3, -1)
         cc, ss = c[:, None, None], s[:, None, None]
         a, b = L[:, 0], L[:, 1]
-        L[:, 0], L[:, 1] = cc * a + ss * b, cc * b - ss * a
-        total += dual_sum(L.reshape(len(w), 3 * nn, -1), free, viscous_setup)
+        L[:, 0], L[:, 1] = -1j * (cc * a + ss * b), cc * b - ss * a
+        loads = np.zeros((len(w), n, len(Ff_loads)), dtype=complex)
+        vpos = position[:nv]
+        loads[:, vpos[vpos >= 0]] = L.reshape(len(w), nv, -1)[:, vpos >= 0]
+        total += dual_sum(loads, form)
     return total
 
 

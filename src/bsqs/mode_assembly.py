@@ -14,7 +14,9 @@ each mode's step matrix is banded with a half-bandwidth that does not grow
 with the mesh.  It is stored in O(N) memory and factored with LAPACK's band
 LU (zgbtrf / zgbtrs).  In the frame of its wave vector (Layout.rotate) a
 mode's step matrix depends only on |k|, so one factorization serves every
-mode with the same k1^2 + k2^2 (ModeOperator, wave_frames).
+mode with the same k1^2 + k2^2 (ModeOperator, wave_frames).  There, with a
+factor i on the longitudinal components, the forms are real (frame_split);
+the energy norms and the audit's dual source norms use that frame.
 """
 
 from __future__ import annotations
@@ -311,6 +313,43 @@ def _entries(split, *args):
     split split(*args), read once; the arrays are shared."""
     return tuple((np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)),
                   A.indices, A.data) for A in split(*args))
+
+
+# The monomials that survive at a frame symbol (kap, 0): the coefficients of
+# 1, kap and kap**2 of a form there
+FRAME_MONOMIALS = ((0, 0), (1, 0), (2, 0))
+
+
+@lru_cache(maxsize=None)
+def frame_split(split, mesh: VerticalMesh, *args):
+    """The matrices of split(mesh, *args) at the frame symbols (kap, 0), as
+    real CSR matrices on the split's rows and columns: the coefficients of
+    1, kap and kap**2 (FRAME_MONOMIALS) with D^-1 A D applied, where D puts
+    a factor i on the longitudinal (first) component of a P2 vector profile
+    and 1 elsewhere.
+
+    The forms are laterally isotropic, so at (kap, 0) each lateral
+    derivative pairs the longitudinal component with the others by a factor
+    i, which D absorbs: the imaginary parts vanish exactly.  A field z with
+    longitudinal component -i times its frame-turned u_L then has
+    Re(z^H A z) equal to the form of the field.  The result is shared; do
+    not modify it."""
+    nn = mesh.n_nodes(2)
+    mats = split(mesh, *args)
+    out = []
+    for m in FRAME_MONOMIALS:
+        A = mats[MONOMIALS.index(m)]
+        rows, cols, values = _entries(split, mesh, *args)[MONOMIALS.index(m)]
+        # D^-1 = -i on the longitudinal rows, D = i on the longitudinal cols
+        if A.shape[0] == 3 * nn:
+            values = np.where(rows < nn, -1j * values, values)
+        if A.shape[1] == 3 * nn:
+            values = np.where(cols < nn, 1j * values, values)
+        assert not np.any(values.imag), "frame matrix is not real"
+        out.append(scipy.sparse.csr_matrix(
+            (np.ascontiguousarray(values.real), A.indices, A.indptr),
+            shape=A.shape))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

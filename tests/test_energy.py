@@ -3,15 +3,20 @@ inequality, balance audits, and interface residual probes."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bsqs import energy as en
 from bsqs.config import SourceSpec
 from bsqs.errors import BalanceViolation
 from bsqs.fem1d import VerticalMesh
 from bsqs.integrator import InitialData, initialize, run
-from bsqs.mode_assembly import _mats, elastic_blocks
-from bsqs.spectral import (SpectralField, forward_transform, mode_table,
-                           mode_weights, zero_field)
+from bsqs.mode_assembly import (FRAME_MONOMIALS, MONOMIALS, _mats,
+                                darcy_split, dense_split, divergence_split,
+                                elastic_blocks, elastic_split, frame_split,
+                                monomial_weights, wave_frames)
+from bsqs.spectral import (SpectralField, forward_transform,
+                           lateral_l2_norm_sq, mode_table, mode_weights,
+                           sample_sources, zero_field)
 from conftest import make_config, make_params, smooth_initial_callables
 
 
@@ -175,6 +180,73 @@ def test_norms_over_stacked_levels_match_single_level_calls(rng, n1, n2, nb,
             one = f(level(prev, idx), level(nxt, idx))
             assert type(one) is float
             assert block[idx] == pytest.approx(one, rel=1e-13, abs=0.0)
+
+
+def test_norms_of_a_level_do_not_depend_on_its_stack(rng):
+    """A level's elastic, viscous, Darcy, L2 and interface-trace norms are
+    the same bits evaluated alone and at any place in stacks of 7 and 8
+    levels: each level's mode sum is its own reduction."""
+    n1, n2 = 8, 8
+    mb, mf = VerticalMesh("biot", 16), VerticalMesh("fluid", 16)
+    p = make_params(mu=1.3, lam=0.7, nu=0.4)
+    fields = {"u": random_field(rng, mb, 2, n1, n2, 3, (8,)),
+              "v": random_field(rng, mf, 2, n1, n2, 3, (8,)),
+              "p": random_field(rng, mb, 1, n1, n2, 1, (8,))}
+    norms = [("u", lambda f: en.elastic_norm_sq(f, p)),
+             ("v", lambda f: en.viscous_norm_sq(f, p.nu)),
+             ("p", en.grad_norm_sq), ("u", en.l2_norm_sq),
+             ("p", en.l2_norm_sq)]
+    for key, norm in norms:
+        fld = fields[key]
+        alone = [norm(SpectralField(fld.mesh, fld.degree, fld.data[i]))
+                 for i in range(8)]
+        for sl in (slice(0, 7), slice(1, 8), slice(0, 8)):
+            stacked = norm(SpectralField(fld.mesh, fld.degree, fld.data[sl]))
+            assert stacked.tolist() == alone[sl]
+    traces = fields["v"].data[..., :2, -1]
+    alone = [en._trace_norm_sq(traces[i]) for i in range(8)]
+    for sl in (slice(0, 7), slice(1, 8), slice(0, 8)):
+        assert en._trace_norm_sq(traces[sl]).tolist() == alone[sl]
+
+
+@pytest.mark.parametrize("n1, n2", [(8, 8), (6, 4)])
+def test_frame_kernel_matches_cartesian_split(rng, n1, n2):
+    """At every stored mode, Nyquist rows included, the frame kernel's
+    elastic (random mu, lam), viscous (nu, 0) and Darcy forms of a random
+    single-mode field equal the Cartesian evaluation of the forms' splits
+    at the mode's symbols; and the frame matrices are D^-1 A_m D with an
+    imaginary part of exactly zero."""
+    mb, mf = VerticalMesh("biot", 4), VerticalMesh("fluid", 6)
+    mu, lam, nu = rng.uniform(0.5, 2.0, 3)
+    every = slice(None)
+    forms = [
+        (mb, 2, 3, elastic_split, (mb, mu, lam),
+         lambda f: en.elastic_norm_sq(f, make_params(mu=mu, lam=lam))),
+        (mf, 2, 3, elastic_split, (mf, nu, 0.0),
+         lambda f: en.viscous_norm_sq(f, nu)),
+        (mb, 1, 1, darcy_split, (mb,), en.grad_norm_sq),
+    ]
+    w = mode_weights(n1, n2)
+    for mesh, degree, ncomp, split, args, norm in forms:
+        dense = dense_split(split(*args), every, every)
+        nn = mesh.n_nodes(degree)
+        D = np.diag(np.where(np.arange(ncomp * nn) < nn, 1j, 1.0)
+                    if ncomp == 3 else np.ones(nn))
+        for m, F in zip(FRAME_MONOMIALS, frame_split(split, *args)):
+            turned = np.linalg.inv(D) @ dense[MONOMIALS.index(m)] @ D
+            assert np.all(turned.imag == 0.0)
+            assert np.array_equal(turned.real, F.toarray())
+        for idx, k in enumerate(mode_table(n1, n2)):
+            k1i, j = divmod(idx, n2)
+            fld = random_field(rng, mesh, degree, n1, n2, ncomp)
+            one = np.zeros_like(fld.data)
+            one[k1i, j] = fld.data[k1i, j]
+            prof = one[k1i, j].ravel()
+            A = np.tensordot(monomial_weights(2 * np.pi * k.k1,
+                                              2 * np.pi * k.k2), dense, 1)
+            want = w[k1i] * np.vdot(prof, A @ prof).real
+            got = norm(SpectralField(mesh, degree, one))
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 REGIMES_16 = [dict(zip(("rho_b", "rho_f", "delta", "c0"),
@@ -359,6 +431,88 @@ def test_audit_samples_each_source_once_per_step(monkeypatch):
     rep = en.audit(traj, cfg.params, cfg.sources)
     assert rep.driven_constant is not None
     assert len(calls) == cfg.disc.n_steps * 3
+
+
+def null_space_dual_quadrature(s0, p, sampled, dt):
+    """The a-priori source bound's quadrature as it was first formulated:
+    per distinct |k|^2 a dense Gram matrix of the Darcy form and, for F_f,
+    the viscous form on a null_space basis of the divergence pairing, at the
+    complex frame symbols (2 pi |k|, 0), with dense solves."""
+    n1, n2 = s0.u.lateral_shape
+    mb, mf = s0.u.mesh, s0.v.mesh
+    bm, fm = _mats(mb), _mats(mf)
+    w = np.repeat(mode_weights(n1, n2), n2)
+    modes = mode_table(n1, n2)
+    first, shell, c, s = wave_frames(modes)
+    total = 0.0
+    S_loads, Ff_loads = [], []
+    for Fb, S, Ff in sampled:
+        if Fb is not None:
+            total += dt * lateral_l2_norm_sq(Fb, bm["M"])
+        if S is not None:
+            S_loads.append(S.data @ bm["Mp"])
+        if Ff is not None:
+            Ff_loads.append(Ff.data @ fm["M"])
+
+    def dual_sum(L, free, setup):
+        L = L[:, free]
+        out = 0.0
+        for g, idx in enumerate(first):
+            members = np.flatnonzero(shell == g)
+            Z, G = setup(2 * np.pi * np.hypot(*modes[idx]))
+            load = np.moveaxis(L[members], 0, 1).reshape(len(free), -1)
+            zl = load if Z is None else Z.conj().T @ load
+            per = np.einsum("is,is->s", zl.conj(), np.linalg.solve(G, zl))
+            out += w[members] @ per.real.reshape(members.size, -1).sum(axis=1)
+        return dt * out
+
+    def stacked(loads):
+        return np.stack(loads, axis=-1).reshape(len(w), -1, len(loads))
+
+    if S_loads:
+        pidx = np.flatnonzero(mb.free_mask(1))
+        darcy = dense_split(darcy_split(mb), pidx, pidx)
+        total += dual_sum(stacked(S_loads), pidx, lambda kap: (
+            None, np.tensordot(monomial_weights(kap, 0.0), darcy, 1)))
+    if Ff_loads:
+        nn = mf.n_nodes(2)
+        vidx = np.flatnonzero(mf.free_mask(2))
+        free = np.concatenate([a * nn + vidx for a in range(3)])
+        viscous = dense_split(elastic_split(mf, p.nu, 0.0), free, free)
+        div = dense_split(divergence_split(mf), slice(None), free)
+
+        def viscous_setup(kap):
+            weights = monomial_weights(kap, 0.0)
+            AV = np.tensordot(weights, viscous, 1)
+            Z = scipy.linalg.null_space(np.tensordot(weights, div, 1))
+            return Z, Z.conj().T @ AV @ Z
+
+        L = stacked(Ff_loads).reshape(len(w), 3, nn, -1)
+        cc, ss = c[:, None, None], s[:, None, None]
+        a, b = L[:, 0], L[:, 1]
+        L[:, 0], L[:, 1] = cc * a + ss * b, cc * b - ss * a
+        total += dual_sum(L.reshape(len(w), 3 * nn, -1), free, viscous_setup)
+    return total
+
+
+@pytest.mark.parametrize("n1, n2", [(4, 4), (6, 4)])
+def test_dual_source_bound_matches_null_space_formulation(n1, n2):
+    """The band-LU dual bound (one real saddle-point or Darcy factorization
+    per |k|^2) equals the null-space, dense-Gram formulation."""
+    from dataclasses import replace
+    cfg = replace(make_config(n1=n1, n2=n2),
+                  sources=_DRIVEN_SOURCES["F_b, S, F_f"])
+    states = run(cfg, InitialData()).states
+    s0, dt = states[0], cfg.disc.dt
+    sampled = [sample_sources(cfg.sources, n1, n2, s0.u.mesh, s0.v.mesh, s.t)
+               for s in states[1:]]
+    for kept in ((0, 1, 2), (1,), (2,)):
+        only = [tuple(f if i in kept else None for i, f in enumerate(fs))
+                for fs in sampled]
+        want = null_space_dual_quadrature(s0, cfg.params, only, dt)
+        assert want > 0.0
+        assert en._dual_source_quadrature(s0, cfg.params, only, dt) == \
+            pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_breakdown_keys_and_lengths():
