@@ -6,10 +6,10 @@ profile^H * (vertical quadratic form) * profile, with weight 2 for modes whose
 conjugate partner is not stored.  Each mode's form is evaluated in the frame
 of its wave vector, where it is real (mode_assembly.frame_split).  They take
 fields whose data carry leading (time level) axes and then return one value
-per level, which does not depend on the other levels evaluated with it.  energy() and
-dissipation_increment() also hand back the terms they sum, and the balance
-audit reads its breakdown from those, so it evaluates each norm once per
-level.
+per level, which does not depend on the other levels evaluated with it.
+energy() and dissipation_increment() also hand back the terms they sum, and
+the balance audit reads its breakdown from those, so it evaluates each norm
+once per level.
 """
 
 from __future__ import annotations
@@ -139,7 +139,8 @@ def _trace_norm_sq(values):
     (level) axes are kept."""
     n1h, n2 = values.shape[-3:-1]
     w = mode_weights(2 * (n1h - 1), n2)
-    return _value(((np.abs(values) ** 2).sum(axis=(-2, -1)) * w).sum(axis=-1))
+    quad = (np.abs(values) ** 2).sum(axis=(-2, -1))
+    return _value((quad * w).sum(axis=-1))
 
 
 def _slip_trace(s_prev, s_next, dt):

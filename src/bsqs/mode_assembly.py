@@ -335,11 +335,10 @@ def frame_split(split, mesh: VerticalMesh, *args):
     Re(z^H A z) equal to the form of the field.  The result is shared; do
     not modify it."""
     nn = mesh.n_nodes(2)
-    mats = split(mesh, *args)
     out = []
-    for m in FRAME_MONOMIALS:
-        A = mats[MONOMIALS.index(m)]
-        rows, cols, values = _entries(split, mesh, *args)[MONOMIALS.index(m)]
+    for m in map(MONOMIALS.index, FRAME_MONOMIALS):
+        A = split(mesh, *args)[m]
+        rows, cols, values = _entries(split, mesh, *args)[m]
         # D^-1 = -i on the longitudinal rows, D = i on the longitudinal cols
         if A.shape[0] == 3 * nn:
             values = np.where(rows < nn, -1j * values, values)
