@@ -117,14 +117,54 @@ def _divergence_residual(v: SpectralField) -> float:
     return float(np.abs(r).max())
 
 
+class ShellOperators:
+    """The band-factored step operators of a Simulator, indexed by stored
+    mode: one ModeOperator per distinct |k|^2, shared by the modes that have
+    it and factored the first time one of them is looked up."""
+
+    def __init__(self, modes, first, shell, coeffs: StepCoefficients):
+        self._modes = modes
+        self._first = first
+        self._shell = shell
+        self._coeffs = coeffs
+        self._factored = [None] * len(first)
+
+    def __len__(self):
+        return len(self._shell)
+
+    def __getitem__(self, i):
+        g = self._shell[i]
+        if self._factored[g] is None:
+            self._factored[g] = ModeOperator(self._modes[self._first[g]],
+                                             self._coeffs)
+        return self._factored[g]
+
+
+def _rows_with_data(*arrays):
+    """Mask of the rows (leading axis) where any of the arrays has a nonzero
+    entry; None entries are skipped."""
+    live = None
+    for a in arrays:
+        if a is not None:
+            rows = a.reshape(len(a), -1).any(axis=1)
+            live = rows if live is None else live | rows
+    return live
+
+
 class Simulator:
-    """Owns the band LU factorizations for one (params, grid, dt), one per
-    distinct |k|^2 in the frame of the wave vector, and advances all modes
-    of a step at once.  `ops` holds each stored mode's ModeOperator; modes
-    with one |k|^2 share it.
+    """Advances all modes of a step at once for one (params, grid, dt).
+
+    Only the live modes are touched: those whose prior state (u, w, p_b, v),
+    sources, loads or defects have a nonzero entry.  The scheme is linear and
+    splits into modes, so every other mode has the exact zero solution.  The
+    live modes' right-hand sides are built, turned into the frame of their
+    wave vector and solved with one band LU per distinct |k|^2, which is
+    factored the first time a live mode needs it.  `ops` gives each stored
+    mode's ModeOperator (factoring it on lookup); modes with one |k|^2
+    share it.
 
     `threads` is accepted for compatibility and ignored: a step is a few
-    array products over all modes plus one multi-column band solve per
+    array products over the live modes plus one multi-column band solve per
     |k|^2 with a nonzero right-hand side, which leaves no per-mode work to
     spread."""
 
@@ -139,8 +179,8 @@ class Simulator:
                                        cfg.disc.dt, steady=steady)
         first, shell, self.cos, self.sin = wave_frames(self.modes)
         self.shell = shell.tolist()
-        shared = [ModeOperator(self.modes[i], self.coeffs) for i in first]
-        self.ops = [shared[g] for g in self.shell]
+        self.ops = ShellOperators(self.modes, first.tolist(), self.shell,
+                                  self.coeffs)
 
     def _sample_sources(self, t: float):
         d = self.cfg.disc
@@ -154,58 +194,75 @@ class Simulator:
         g1 (n1h, n2), g2 (2, n1h, n2), g3 (3, n1h, n2), g4 (n1h, n2)."""
         cfg = self.cfg
         d = cfg.disc
-        n_modes = len(self.ops)
+        n_modes = len(self.modes)
 
         def scalar(fld):
             return None if fld is None else _by_mode(fld)[:, 0]
 
         def triple(fields):
             if fields is None:
-                return None
+                return None, None, None
             a, b, c = fields
             return _by_mode(a), scalar(b), _by_mode(c)
 
+        prior = (_by_mode(s.u), _by_mode(s.w), scalar(s.p_b), _by_mode(s.v))
+        sources, loads = triple(mode_sources), triple(mode_loads)
         defects = None
         if mode_defects is not None:
             g = {k: np.asarray(v).reshape(-1, n_modes).T
                  for k, v in mode_defects.items()}
             defects = (g["g1"][:, 0], g["g2"], g["g3"], g["g4"][:, 0])
-        rhs = build_step_rhs(
-            self.kap1, self.kap2, self.coeffs,
-            prior=(_by_mode(s.u), _by_mode(s.w), scalar(s.p_b), _by_mode(s.v)),
-            sources=triple(mode_sources), loads=triple(mode_loads),
-            interface_data=defects)
+        live = np.flatnonzero(_rows_with_data(*prior, *sources, *loads,
+                                              *(defects or ())))
+        if live.size == 0:
+            return _zero_state(cfg, s.t + d.dt)
+        every = live.size == n_modes
 
-        # a mode with a zero right-hand side has the zero solution; the others
-        # are solved in the frame of their wave vector, one band solve per
-        # |k|^2 (a mode with k2 = 0 is in its frame already)
+        def pick(arrays):
+            if every:
+                return arrays
+            return tuple(None if a is None else a[live] for a in arrays)
+
+        rhs = build_step_rhs(
+            *pick((self.kap1, self.kap2)), self.coeffs, prior=pick(prior),
+            sources=pick(sources), loads=pick(loads),
+            interface_data=None if defects is None else pick(defects))
+
+        # a live mode with a zero right-hand side has the zero solution; the
+        # others are solved in the frame of their wave vector, one band solve
+        # per |k|^2 (a mode with k2 = 0 is in its frame already)
         lay = self.coeffs.layout
         rows = np.flatnonzero(rhs.any(axis=1))
-        turned = rows[self.sin[rows] != 0]
-        c, sn = self.cos[turned], self.sin[turned]
+        turned = rows[self.sin[live[rows]] != 0]
+        c, sn = self.cos[live[turned]], self.sin[live[turned]]
         if turned.size:
             rhs[turned] = lay.rotate(rhs[turned], c, sn)
         groups = {}
         for i in rows.tolist():
-            groups.setdefault(self.shell[i], []).append(i)
+            groups.setdefault(self.shell[live[i]], []).append(i)
         x = np.zeros_like(rhs)
         for group in groups.values():
-            x[group] = self.ops[group[0]].step(
-                rhs[group].T, [self.modes[i] for i in group])[0].T
+            stored = live[group].tolist()
+            x[group] = self.ops[stored[0]].step(
+                rhs[group].T, [self.modes[i] for i in stored])[0].T
         if turned.size:
             x[turned] = lay.rotate(x[turned], c, -sn)
-        u, p, v, pf = lay.unpack(x)
 
         lateral = s.u.data.shape[:2]
 
         def field_of(mesh, degree, data):
+            if not every:
+                full = np.zeros((n_modes,) + data.shape[1:], dtype=data.dtype)
+                full[live] = data
+                data = full
             return SpectralField(mesh, degree, data.reshape(
                 lateral + (-1, data.shape[-1])))
 
+        u, p, v, pf = lay.unpack(x)
         u_next = field_of(self.mb, 2, u)
         w_next = None
         if cfg.params.rho_b > 0:
-            w_next = field_of(self.mb, 2, (u - _by_mode(s.u)) / d.dt)
+            w_next = SpectralField(self.mb, 2, (u_next.data - s.u.data) / d.dt)
         return State(s.t + d.dt, u_next, w_next, field_of(self.mb, 1, p),
                      field_of(self.mf, 2, v), field_of(self.mf, 1, pf))
 

@@ -14,7 +14,8 @@ import zlib
 
 import numpy as np
 
-from .errors import FormatError, GridMismatch
+from .config import Discretization
+from .errors import FormatError, GridMismatch, Violation
 from .fem1d import VerticalMesh
 from .integrator import State
 from .spectral import forward_transform, inverse_transform
@@ -72,14 +73,28 @@ def read_snapshot(path) -> tuple[State, dict]:
     payload = raw[13 + hlen:]
     if zlib.crc32(payload) & 0xFFFFFFFF != header.get("crc32"):
         raise FormatError(13 + hlen, "checksum mismatch")
-    n1, n2 = header["n1"], header["n2"]
-    mb = VerticalMesh("biot", header["nb"])
-    mf = VerticalMesh("fluid", header["nf"])
+    # the checksum covers the payload only: check the header's grid and
+    # field list before reading the payload by them
+    grid = {key: header.get(key) for key in ("n1", "n2", "nb", "nf")}
+    for key, value in grid.items():
+        if type(value) is not int:
+            raise FormatError(13, f"header {key} = {value!r} is no integer")
+    try:
+        Discretization(**grid).validate()
+    except Violation as exc:
+        raise FormatError(13, f"bad header grid: {exc}") from None
+    listed = header.get("fields")
+    order = _field_order(isinstance(listed, list) and ["w", 3] in listed)
+    if listed != [list(f) for f in order]:
+        raise FormatError(13, f"bad header fields {listed!r}")
+    n1, n2 = grid["n1"], grid["n2"]
+    mb = VerticalMesh("biot", grid["nb"])
+    mf = VerticalMesh("fluid", grid["nf"])
     meshes = {"u": (mb, 2), "w": (mb, 2), "p_b": (mb, 1),
               "v": (mf, 2), "p_f": (mf, 1)}
     pos = 0
     fields = {}
-    for name, ncomp in header["fields"]:
+    for name, ncomp in order:
         mesh, degree = meshes[name]
         nn = mesh.n_nodes(degree)
         count = n1 * n2 * ncomp * nn

@@ -71,6 +71,13 @@ def drop_nyquist(samples):
     return np.fft.ifft2(spec, axes=(0, 1)).real
 
 
+def every_mode_live(state):
+    """`state` with a nonzero prior displacement in every stored mode, so a
+    Simulator step builds and solves the right-hand side of every mode."""
+    state.u.data[:] = 1.0
+    return state
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)

@@ -13,10 +13,12 @@ from bsqs.errors import (GridMismatch, IncompatibleData, NotDivergenceFree,
 from bsqs.integrator import (InitialData, Simulator, _by_mode, _zero_state,
                              check_same_grid, initialize, run)
 from bsqs.mode_assembly import ModeOperator, build_step_matrix
-from bsqs.spectral import ModeIndex, inverse_transform, mode_table
+from bsqs.spectral import (ModeIndex, inverse_transform, mode_table,
+                           zero_field)
 from bsqs.verification import (manufacture_sources, solve_steady,
                                solve_transient, steady_case, temporal_case)
-from conftest import make_config, make_params, smooth_initial_callables
+from conftest import (every_mode_live, make_config, make_params,
+                      smooth_initial_callables)
 
 
 def smooth_data(cfg, **which):
@@ -202,7 +204,7 @@ def test_grouped_step_matches_per_mode_solves(monkeypatch, n1, n2):
     rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     monkeypatch.setattr(integrator, "build_step_rhs",
                         lambda *args, **kwargs: rhs.copy())
-    s = sim.step(_zero_state(cfg))
+    s = sim.step(every_mode_live(_zero_state(cfg)))
     x = lay.pack(_by_mode(s.u), _by_mode(s.p_b)[:, 0], _by_mode(s.v),
                  _by_mode(s.p_f)[:, 0])[:, lay.free_indices()]
     for i, mode in enumerate(sim.modes):
@@ -223,10 +225,94 @@ def test_one_mode_operator_per_distinct_wavenumber(monkeypatch):
 
     monkeypatch.setattr(ModeOperator, "__init__", counting_init)
     sim = Simulator(make_config(n1=16, n2=16))
-    assert len(built) == 42
+    assert not built                               # factored on first use
     assert len(sim.ops) == len(sim.modes) == 144
     for mode, op in zip(sim.modes, sim.ops):
         assert np.hypot(*op.mode) == np.hypot(*mode)
+    assert len(built) == 42
+    assert [sim.ops[i] for i in range(144)] == list(sim.ops)
+    assert len(built) == 42
+
+
+def test_step_builds_only_the_operators_of_live_shells(monkeypatch):
+    """A first step with data in the four modes of |k|^2 = 5 only factors
+    that one |k|^2, and every other mode comes back exactly zero."""
+    built = []
+    build = ModeOperator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModeOperator, "__init__", counting_init)
+    cfg = make_config(n1=8, n2=8)
+    sim = Simulator(cfg)
+    s = _zero_state(cfg)
+    shell = [ModeIndex(1, 2), ModeIndex(1, -2), ModeIndex(2, 1),
+             ModeIndex(2, -1)]
+    rows = [sim.modes.index(m) for m in shell]
+    rng = np.random.default_rng(5)
+    _by_mode(s.u)[rows] = rng.standard_normal(_by_mode(s.u)[rows].shape)
+    _by_mode(s.u)[..., s.u.mesh.clamped_node(2)] = 0
+    out = sim.step(s)
+    assert len(built) == 1 and np.hypot(*built[0].mode) == np.sqrt(5)
+    rest = np.setdiff1d(np.arange(len(sim.modes)), rows)
+    for name in ("u", "w", "p_b", "v", "p_f"):
+        data = _by_mode(getattr(out, name))
+        assert np.all(data[rest] == 0)
+        assert all(data[i].any() for i in rows)
+
+
+def test_step_builds_right_hand_sides_of_live_modes_only(monkeypatch):
+    """On the README configuration the data lives in the k2 = 0 modes (the
+    cos 2 pi x1 mode and four at FFT roundoff): build_step_rhs receives those
+    5 of the 40 modes at every step, and every other mode stays exactly
+    zero."""
+    cfg = parse_config(README_RUN)
+    cfg = replace(cfg, disc=replace(cfg.disc, nb=16, nf=16, t_end=0.5))
+    received = []
+    build_rhs = integrator.build_step_rhs
+
+    def recording_rhs(kap1, kap2, *args, **kwargs):
+        received.append((kap1.copy(), kap2.copy()))
+        return build_rhs(kap1, kap2, *args, **kwargs)
+
+    monkeypatch.setattr(integrator, "build_step_rhs", recording_rhs)
+    traj = run(cfg, InitialData.from_plan(cfg))
+    # n_steps steps plus the quasi-static initialization probe
+    assert len(received) == cfg.disc.n_steps + 1
+    assert all(len(k1) == 5 and not k2.any() for k1, k2 in received)
+    modes = mode_table(cfg.disc.n1, cfg.disc.n2)
+    dead = [i for i, m in enumerate(modes) if m.k2 != 0]
+    assert len(modes) == 40 and len(dead) == 35
+    for s in traj.states:
+        for name in ("u", "p_b", "v", "p_f"):
+            assert np.all(_by_mode(getattr(s, name))[dead] == 0)
+
+
+@pytest.mark.parametrize("n_live", [1, 2, 3])
+def test_live_mode_step_is_bitwise_the_full_spectrum_step(monkeypatch,
+                                                          n_live):
+    """Data and sources in a few modes: stepping only those modes gives the
+    same bits as building and solving every mode, since each product and
+    band solve treats its modes on their own."""
+    cfg = make_config(n1=8, n2=8)
+    sim = Simulator(cfg)
+    rng = np.random.default_rng(n_live)
+    rows = rng.choice(len(sim.modes), n_live, replace=False)
+    s = _zero_state(cfg)
+    sources = (zero_field(sim.mb, 2, 8, 8, 3), zero_field(sim.mb, 1, 8, 8, 1),
+               zero_field(sim.mf, 2, 8, 8, 3))
+    for fld in (s.u, s.w, s.p_b, s.v) + sources:
+        data = _by_mode(fld)
+        data[rows] = rng.standard_normal(data[rows].shape)
+    live = sim.step(s, mode_sources=sources)
+    monkeypatch.setattr(integrator, "_rows_with_data",
+                        lambda *arrays: np.ones(len(sim.modes), dtype=bool))
+    full = sim.step(s, mode_sources=sources)
+    for name in ("u", "w", "p_b", "v", "p_f"):
+        assert np.array_equal(getattr(live, name).data,
+                              getattr(full, name).data)
 
 
 def _fingerprint(state):

@@ -22,8 +22,8 @@ from bsqs.mode_assembly import (Layout, ModeOperator, StepCoefficients,
                                 monomial_weights, _mats)
 from bsqs.spectral import (ModeIndex, forward_transform, inverse_transform,
                            mode_table)
-from conftest import (frame_rotation, make_config, make_params,
-                      smooth_initial_callables)
+from conftest import (every_mode_live, frame_rotation, make_config,
+                      make_params, smooth_initial_callables)
 
 MB = VerticalMesh("biot", 4)
 MF = VerticalMesh("fluid", 4)
@@ -405,7 +405,7 @@ def test_residual_gate_checks_every_column_of_a_group(monkeypatch):
     monkeypatch.setattr(integrator, "build_step_rhs",
                         lambda *args, **kwargs: rhs.copy())
     with pytest.raises(SingularSystem) as err:
-        sim.step(_zero_state(cfg))
+        sim.step(every_mode_live(_zero_state(cfg)))
     assert err.value.mode == ModeIndex(2, 1)
 
 

@@ -1,6 +1,9 @@
 """On-disk formats: snapshot round trips, corruption detection, and CSV
 determinism."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -88,6 +91,59 @@ def test_snapshot_corruption_detected(state, tmp_path):
         raw[13] ^= 0xFF                                # JSON header broken
     with pytest.raises(FormatError):
         read_snapshot(corrupt(path, bad, header_garbage))
+
+
+def rewrite_header(path, out, edit):
+    """Copy a snapshot with its JSON header edited in place; the payload and
+    its checksum are kept, so only the header checks can catch the edit."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[5:13])
+    header = json.loads(raw[13:13 + hlen])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode()
+    out.write_bytes(raw[:5] + struct.pack("<Q", len(blob)) + blob
+                    + raw[13 + hlen:])
+    return out
+
+
+@pytest.fixture
+def snapshot(state, tmp_path):
+    path = tmp_path / "s.snap"
+    write_snapshot(state, path)
+    return path
+
+
+def test_snapshot_unknown_field_raises_format_error(snapshot, tmp_path):
+    def rename(header):
+        header["fields"][1][0] = "q"
+    with pytest.raises(FormatError):
+        read_snapshot(rewrite_header(snapshot, tmp_path / "bad.snap", rename))
+
+
+def test_snapshot_missing_grid_key_raises_format_error(snapshot, tmp_path):
+    def drop(header):
+        del header["n1"]
+    with pytest.raises(FormatError):
+        read_snapshot(rewrite_header(snapshot, tmp_path / "bad.snap", drop))
+
+
+def test_snapshot_invalid_grid_raises_format_error(snapshot, tmp_path):
+    def zero(header):
+        header["nb"] = 0
+    with pytest.raises(FormatError):
+        read_snapshot(rewrite_header(snapshot, tmp_path / "bad.snap", zero))
+
+
+def test_snapshot_reordered_fields_raise_format_error(snapshot, tmp_path):
+    # same names and sizes, so the payload would split without complaint
+    def reorder(header):
+        header["fields"] = [["p_b", 1], ["u", 3], ["w", 3], ["v", 3],
+                            ["p_f", 1]]
+    with pytest.raises(FormatError):
+        read_snapshot(rewrite_header(snapshot, tmp_path / "bad.snap",
+                                     reorder))
+    read_snapshot(rewrite_header(snapshot, tmp_path / "same.snap",
+                                 lambda header: None))      # no raise
 
 
 def test_timeseries_round_trip(tmp_path):
