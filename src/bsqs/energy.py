@@ -62,19 +62,35 @@ def _frame_form(fld: SpectralField, mats, turn: bool):
     frame_split) at each mode's frame symbol kap = 2 pi |k|.
 
     z is the mode's profile; with `turn` its (first, second) components are
-    turned into the wave-vector frame, (-i u_L, u_T), inside the one
-    transpose copy into the (ncomp * nn, levels * modes) profile matrix P.
+    turned into the wave-vector frame, (-i u_L, u_T), after the one
+    transpose copy into the (ncomp * nn, levels * live modes) profile
+    matrix P.
     Then Re(z^H A z) per column is a real dot product of P and A P viewed as
     interleaved (re, im) pairs: one real product per matrix.
+
+    Only the modes that carry data are copied, turned and multiplied: a
+    mode whose profile is zero at every level adds exactly zero, so when
+    some mode is zero P holds the live modes' columns only, and their
+    values are scattered into zeros before the weighted mode sum.
 
     Any leading axes of fld.data (time levels, say) are kept: the result has
     one value per level, or is a float without them.  Every step of a
     level's value depends only on that level's columns, so it does not
-    depend on how many levels are evaluated with it."""
+    depend on how many levels are evaluated with it, nor on which modes are
+    live at the other levels."""
     lead = fld.data.shape[:-4]
     kap, c, s, w = _frame_modes(*fld.lateral_shape)
     ncomp, nn = fld.data.shape[-2:]
-    P = np.ascontiguousarray(fld.data.reshape(-1, ncomp * nn).T)
+    D = fld.data.reshape(-1, kap.size, ncomp * nn)
+    live = D.any(axis=(0, 2))
+    if not live.any():
+        return _value(np.zeros(lead))
+    # with every mode live, P is the one copy of the whole field (an index
+    # array would gather it once more)
+    live = slice(None) if live.all() else np.flatnonzero(live)
+    P = np.ascontiguousarray(D[:, live].reshape(-1, ncomp * nn).T)
+    kap = kap[live]
+    c, s = (a.reshape(-1, 2)[live].ravel() for a in (c, s))
     if turn:
         # u1 and u2 as (re, im) float views (nn, levels, 2 * modes)
         V = P.view(float).reshape(ncomp, nn, -1, c.size)
@@ -92,7 +108,9 @@ def _frame_form(fld: SpectralField, mats, turn: bool):
         if A.nnz:
             q = np.einsum("ij,ij->j", Pr, A @ Pr).reshape(-1, kap.size, 2)
             quad = quad + kap**power * q.sum(axis=-1)
-    return _value((quad * w).sum(axis=-1).reshape(lead))
+    every = np.zeros((D.shape[0], w.size))
+    every[:, live] = quad
+    return _value((every * w).sum(axis=-1).reshape(lead))
 
 
 @lru_cache(maxsize=None)
@@ -219,14 +237,19 @@ _BLOCK = 8
 
 _FIELDS = ("u", "w", "p_b", "v", "p_f")
 
+# the fields the audit's norms read (p_f enters none of them)
+_AUDITED = ("u", "w", "p_b", "v")
 
-def _stack(states):
-    """One state whose fields carry the given states' levels on a leading
-    axis (and whose t is the array of their times)."""
-    fields = {k: None if getattr(states[0], k) is None else replace(
-        getattr(states[0], k),
-        data=np.stack([getattr(s, k).data for s in states]))
-        for k in _FIELDS}
+
+def _stack(states, names):
+    """One state whose fields `names` carry the given states' levels on a
+    leading axis (and whose t is the array of their times); its other
+    fields are None."""
+    fields = {k: None if k not in names or getattr(states[0], k) is None
+              else replace(getattr(states[0], k),
+                           data=np.stack([getattr(s, k).data
+                                          for s in states]))
+              for k in _FIELDS}
     return replace(states[0], t=np.array([s.t for s in states]), **fields)
 
 
@@ -264,7 +287,7 @@ def audit(traj, p: PhysicalParams, sources: SourceSpec = None) -> EnergyReport:
              "kelvin_voigt": 0.0, "slip": 0.0}
     for start in range(0, len(states), _BLOCK):
         lo = max(start - 1, 0)
-        blk = _stack(states[lo:start + _BLOCK])
+        blk = _stack(states[lo:start + _BLOCK], _AUDITED)
         level_terms, inc_terms = {}, {}
         e = energy(_levels(blk, slice(start - lo, None)), p,
                    level_terms).tolist()

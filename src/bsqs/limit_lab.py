@@ -59,6 +59,9 @@ class DistanceReport:
 # the earlier and the later level of each increment of a stacked block
 _PREV, _NEXT = slice(None, -1), slice(1, None)
 
+# the fields the distances and vanishing terms read
+_DISTANCED = ("u", "p_b", "v")
+
 
 def _blocks(states):
     """The states in blocks of energy._BLOCK levels, each stacked with the
@@ -66,7 +69,8 @@ def _blocks(states):
     (stacked block, slice of the block's own levels)."""
     for start in range(0, len(states), _BLOCK):
         lo = max(start - 1, 0)
-        yield _stack(states[lo:start + _BLOCK]), slice(start - lo, None)
+        yield (_stack(states[lo:start + _BLOCK], _DISTANCED),
+               slice(start - lo, None))
 
 
 def _difference(a, b, name, sl):

@@ -209,6 +209,86 @@ def test_norms_of_a_level_do_not_depend_on_its_stack(rng):
         assert en._trace_norm_sq(traces[sl]).tolist() == alone[sl]
 
 
+def test_norms_of_a_level_do_not_depend_on_the_live_modes_of_its_stack(rng):
+    """With a different set of zero modes at every level (level 0 of u and
+    v with no live mode at all, and p with every mode live), a level's
+    elastic, viscous, Darcy and L2 norms are the same bits alone as in
+    stacks of 7 and 8 levels, whose live modes are the union of theirs; an
+    all-zero level is exactly 0."""
+    n1, n2 = 8, 8
+    mb, mf = VerticalMesh("biot", 16), VerticalMesh("fluid", 16)
+    p = make_params(mu=1.3, lam=0.7, nu=0.4)
+    fields = {"u": random_field(rng, mb, 2, n1, n2, 3, (8,)),
+              "v": random_field(rng, mf, 2, n1, n2, 3, (8,)),
+              "p": random_field(rng, mb, 1, n1, n2, 1, (8,))}
+    modes = (n1 // 2 + 1) * n2
+    for key in ("u", "v"):
+        flat = fields[key].data.reshape(8, modes, -1)
+        flat[0] = 0.0
+        for i in range(1, 8):
+            # levels 1-7 keep 1, 3, ..., 13 modes, at random
+            dead = rng.permutation(modes)[2 * i - 1:]
+            flat[i, dead] = 0.0
+    norms = [("u", lambda f: en.elastic_norm_sq(f, p)),
+             ("v", lambda f: en.viscous_norm_sq(f, p.nu)),
+             ("p", en.grad_norm_sq), ("u", en.l2_norm_sq),
+             ("v", en.l2_norm_sq), ("p", en.l2_norm_sq)]
+    for key, norm in norms:
+        fld = fields[key]
+        alone = [norm(SpectralField(fld.mesh, fld.degree, fld.data[i]))
+                 for i in range(8)]
+        assert all(type(a) is float for a in alone)
+        assert all(a > 0.0 for a in alone[1:])
+        if key == "p":
+            assert alone[0] > 0.0
+        else:
+            assert alone[0] == 0.0
+        for sl in (slice(0, 7), slice(1, 8), slice(0, 8)):
+            stacked = norm(SpectralField(fld.mesh, fld.degree, fld.data[sl]))
+            assert stacked.tolist() == alone[sl]
+
+
+class _CountingMatrix:
+    """A CSR matrix that records the column count of each product."""
+
+    def __init__(self, A, columns):
+        self.A, self.nnz, self.columns = A, A.nnz, columns
+
+    def __matmul__(self, x):
+        self.columns.append(x.shape[1])
+        return self.A @ x
+
+
+def test_frame_kernel_multiplies_only_the_live_modes(rng):
+    """Data in 3 of 40 modes over 4 levels: every product of the frame
+    kernel gets 3 * 4 (re, im) column pairs, and the value equals the sum
+    of the three single-mode fields' values; an all-zero field gets no
+    product and exact zeros."""
+    n1, n2, levels = 8, 8, 4
+    mb = VerticalMesh("biot", 8)
+    p = make_params(mu=1.3, lam=0.7)
+    u = random_field(rng, mb, 2, n1, n2, 3, (levels,))
+    flat = u.data.reshape(levels, 40, -1)
+    live = rng.choice(40, 3, replace=False)
+    flat[:, np.setdiff1d(np.arange(40), live)] = 0.0
+    columns = []
+    mats = [_CountingMatrix(A, columns)
+            for A in frame_split(elastic_split, mb, p.mu, p.lam)]
+    value = en._frame_form(u, mats, turn=True)
+    assert columns and all(n == 3 * levels * 2 for n in columns)
+    parts = []
+    for m in live:
+        one = np.zeros_like(flat)
+        one[:, m] = flat[:, m]
+        parts.append(en.elastic_norm_sq(
+            SpectralField(mb, 2, one.reshape(u.data.shape)), p))
+    assert value == pytest.approx(sum(parts), rel=1e-13, abs=0.0)
+    columns.clear()
+    zero = SpectralField(mb, 2, np.zeros_like(u.data))
+    assert en._frame_form(zero, mats, turn=True).tolist() == [0.0] * levels
+    assert columns == []
+
+
 @pytest.mark.parametrize("n1, n2", [(8, 8), (6, 4)])
 def test_frame_kernel_matches_cartesian_split(rng, n1, n2):
     """At every stored mode, Nyquist rows included, the frame kernel's
