@@ -230,34 +230,8 @@ class EnergyReport:
 _BREAKDOWN_KEYS = ("elastic", "storage", "kinetic_b", "kinetic_f",
                    "darcy", "viscous", "slip", "kelvin_voigt")
 
-# Time levels per audit block.  Each block's norms are one product per form
-# term; the block (with the level before it) is stacked in memory, so the
-# audit's peak memory grows with this, not with the trajectory length.
-_BLOCK = 8
-
-_FIELDS = ("u", "w", "p_b", "v", "p_f")
-
-# the fields the audit's norms read (p_f enters none of them)
-_AUDITED = ("u", "w", "p_b", "v")
-
-
-def _stack(states, names):
-    """One state whose fields `names` carry the given states' levels on a
-    leading axis (and whose t is the array of their times); its other
-    fields are None."""
-    fields = {k: None if k not in names or getattr(states[0], k) is None
-              else replace(getattr(states[0], k),
-                           data=np.stack([getattr(s, k).data
-                                          for s in states]))
-              for k in _FIELDS}
-    return replace(states[0], t=np.array([s.t for s in states]), **fields)
-
-
-def _levels(s, sl):
-    """The levels `sl` (a slice) of a stacked state, as views."""
-    fields = {k: None if getattr(s, k) is None else replace(
-        getattr(s, k), data=getattr(s, k).data[sl]) for k in _FIELDS}
-    return replace(s, t=s.t[sl], **fields)
+# the earlier and the later level of each increment of a block of levels
+_PREV, _NEXT = slice(None, -1), slice(1, None)
 
 
 def audit(traj, p: PhysicalParams, sources: SourceSpec = None) -> EnergyReport:
@@ -265,68 +239,54 @@ def audit(traj, p: PhysicalParams, sources: SourceSpec = None) -> EnergyReport:
     sampling each step's sources once.  For source-free runs asserts the
     dissipation inequality e_n + d_n <= e_0 up to roundoff tolerance.
 
-    The norms are evaluated over blocks of _BLOCK levels, stacked with the
-    level before each block for the increments; each is evaluated once per
-    level, by energy() and dissipation_increment(), and the breakdown is the
-    terms they sum.  The sums, the source work and the balance check run
-    level by level, so a violation is raised at the first level that breaks
-    the inequality."""
-    states = traj.states
-    dt = states[1].t - states[0].t if len(states) > 1 else 0.0
-    rep = EnergyReport(breakdown={k: [] for k in _BREAKDOWN_KEYS})
+    The norms are evaluated over the trajectory's blocks of levels
+    (Trajectory.blocks), each once per level, by energy() and
+    dissipation_increment(), and the breakdown is the terms they sum.  The
+    sums, the source work and the balance check then run level by level, so
+    a violation is raised at the first level that breaks the inequality."""
+    stacked = traj.stacked
+    times = traj.times
+    dt = times[1] - times[0] if len(times) > 1 else 0.0
+    s0 = stacked.levels(0)
+    # level 0 ends no increment: its Darcy and viscous terms are evaluated
+    # from its own state, and its Kelvin-Voigt and slip terms are zero
+    terms = {k: [] for k in _BREAKDOWN_KEYS}
+    terms.update(darcy=[p.k_perm * grad_norm_sq(s0.p_b)],
+                 viscous=[viscous_norm_sq(s0.v, p.nu)],
+                 kelvin_voigt=[0.0], slip=[0.0])
+    e, d_inc, slip = [], [0.0], [0.0]
+    for blk, own in traj.blocks():
+        level_terms = {}
+        e += energy(blk.levels(own), p, level_terms).tolist()
+        if len(blk.t) > 1:
+            prev, nxt = blk.levels(_PREV), blk.levels(_NEXT)
+            d_inc += dissipation_increment(prev, nxt, p, dt,
+                                           level_terms).tolist()
+            slip += slip_norm(prev, nxt, dt).tolist()
+        for k, vals in level_terms.items():
+            terms[k] += vals.tolist()
+
+    rep = EnergyReport(times=times, e=e, slip=slip, breakdown=terms)
     source_free = sources is None or sources.is_zero()
-    n1, n2 = states[0].u.lateral_shape
-    mb, mf = states[0].u.mesh, states[0].v.mesh
+    n1, n2 = s0.u.lateral_shape
     sampled = []
     d_cum = 0.0
     work = 0.0
-    # level 0 ends no increment: its Darcy and viscous terms are evaluated
-    # from its own state, and its Kelvin-Voigt and slip terms are zero
-    first = {"darcy": p.k_perm * grad_norm_sq(states[0].p_b),
-             "viscous": viscous_norm_sq(states[0].v, p.nu),
-             "kelvin_voigt": 0.0, "slip": 0.0}
-    for start in range(0, len(states), _BLOCK):
-        lo = max(start - 1, 0)
-        blk = _stack(states[lo:start + _BLOCK], _AUDITED)
-        level_terms, inc_terms = {}, {}
-        e = energy(_levels(blk, slice(start - lo, None)), p,
-                   level_terms).tolist()
-        if len(blk.t) > 1:
-            # increment j of the block ends at its level lo + 1 + j
-            prev = _levels(blk, slice(None, -1))
-            nxt = _levels(blk, slice(1, None))
-            d_inc = dissipation_increment(prev, nxt, p, dt,
-                                          inc_terms).tolist()
-            slip = slip_norm(prev, nxt, dt).tolist()
-        level_terms = {k: v.tolist() for k, v in level_terms.items()}
-        inc_terms = {k: v.tolist() for k, v in inc_terms.items()}
-        for i, s in enumerate(states[start:start + _BLOCK]):
-            n = start + i
-            j = n - lo - 1
-            if n == 0:
-                e0 = e[0]
-                tol = 1e-10 * max(e0, 1.0)
-            else:
-                d_cum += d_inc[j]
-                if not source_free:
-                    sampled.append(
-                        sample_sources(sources, n1, n2, mb, mf, s.t))
-                    work += dt * _source_work(states[n - 1], s, sampled[-1],
-                                              dt)
-            r_n = e[i] + d_cum - e0 - work
-            if source_free and r_n > tol:
-                raise BalanceViolation(n, r_n)
-            rep.times.append(s.t)
-            rep.e.append(e[i])
-            rep.d_cum.append(d_cum)
-            rep.residual.append(r_n)
-            rep.slip.append(slip[j] if n else 0.0)
-            for k, vals in level_terms.items():
-                rep.breakdown[k].append(vals[i])
-            for k, at_0 in first.items():
-                rep.breakdown[k].append(inc_terms[k][j] if n else at_0)
+    tol = 1e-10 * max(e[0], 1.0)
+    for n, t in enumerate(times):
+        d_cum += d_inc[n]
+        if n and not source_free:
+            sampled.append(sample_sources(sources, n1, n2, s0.u.mesh,
+                                          s0.v.mesh, t))
+            work += dt * _source_work(stacked.levels(n - 1),
+                                      stacked.levels(n), sampled[-1], dt)
+        r_n = e[n] + d_cum - e[0] - work
+        if source_free and r_n > tol:
+            raise BalanceViolation(n, r_n)
+        rep.d_cum.append(d_cum)
+        rep.residual.append(r_n)
     if not source_free:
-        bound = e0 + _dual_source_quadrature(states[0], p, sampled, dt)
+        bound = e[0] + _dual_source_quadrature(s0, p, sampled, dt)
         peak = max(en + dn for en, dn in zip(rep.e, rep.d_cum))
         rep.driven_constant = peak / max(bound, 1e-300)
     return rep

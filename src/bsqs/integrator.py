@@ -8,7 +8,7 @@ solved as such with no regularization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,7 +68,9 @@ class InitialData:
 
 @dataclass
 class State:
-    """Spectral fields at one time level.  w is None iff rho_b = 0."""
+    """Spectral fields at one time level, or at several (a trajectory or a
+    block of it) on a leading axis with t the array of their times.  w is
+    None iff rho_b = 0."""
 
     t: float
     u: SpectralField
@@ -77,19 +79,54 @@ class State:
     v: SpectralField
     p_f: SpectralField
 
+    def fields(self):
+        return self.u, self.w, self.p_b, self.v, self.p_f
+
     def copy(self):
-        return State(self.t, self.u.copy(),
-                     None if self.w is None else self.w.copy(),
-                     self.p_b.copy(), self.v.copy(), self.p_f.copy())
+        return State(self.t, *(None if f is None else f.copy()
+                               for f in self.fields()))
+
+    def levels(self, sl):
+        """The levels `sl` of a state whose fields carry time levels on a
+        leading axis and whose t is the array of their times, as views: a
+        slice keeps the axis, an index drops it (and t is a float)."""
+        t = self.t[sl]
+        return State(t if np.ndim(t) else float(t),
+                     *(None if f is None else replace(f, data=f.data[sl])
+                       for f in self.fields()))
+
+
+# Time levels per diagnostics block.  The norms of a block are one product
+# per form term, so the diagnostics' temporaries grow with this, not with the
+# trajectory length.
+_BLOCK = 8
 
 
 @dataclass
 class Trajectory:
-    states: list = field(default_factory=list)
+    """A run's states, stored once: `stacked` is one State whose fields carry
+    the time levels on a leading axis and whose t holds their times."""
+
+    stacked: State
+
+    @property
+    def states(self):
+        """The per-level States, as views of `stacked` (built on each
+        access), so in-place edits of their data reach the trajectory."""
+        return [self.stacked.levels(n) for n in range(len(self.stacked.t))]
 
     @property
     def times(self):
-        return [s.t for s in self.states]
+        return self.stacked.t.tolist()
+
+    def blocks(self):
+        """The levels in blocks of _BLOCK, each with the level before it so
+        that every increment (n - 1, n) lies in one block: yields (block,
+        slice of the block's own levels), the block as views of `stacked`."""
+        for start in range(0, len(self.stacked.t), _BLOCK):
+            lo = max(start - 1, 0)
+            yield (self.stacked.levels(slice(lo, start + _BLOCK)),
+                   slice(start - lo, None))
 
 
 def _zero_state(cfg: RunConfig, t=0.0) -> State:
@@ -333,21 +370,29 @@ def initialize(cfg: RunConfig, data: InitialData,
     return s
 
 
-def run(cfg: RunConfig, data: InitialData, threads: int = 1) -> Trajectory:
-    """Full implicit-Euler trajectory: the states only; energy.audit
-    evaluates the diagnostics from them.  `threads` is accepted for
-    compatibility and ignored (see Simulator)."""
+def run(cfg: RunConfig, data: InitialData) -> Trajectory:
+    """Full implicit-Euler trajectory: the states only, each step's fields
+    written into its level of the stacked trajectory; energy.audit evaluates
+    the diagnostics from them."""
     d = cfg.disc
     ratio = d.t_end / d.dt
     if abs(ratio - round(ratio)) > 1e-9:
         raise Violation("t_end", d.t_end, "t_end/dt must be an integer")
     sim = Simulator(cfg)
     s = initialize(cfg, data, sim)
-    traj = Trajectory(states=[s])
-    for n in range(d.n_steps):
-        s = sim.step(s, mode_sources=sim._sample_sources((n + 1) * d.dt))
-        traj.states.append(s)
-    return traj
+    shape = (d.n_steps + 1,)
+    stacked = State(np.empty(shape), *(
+        None if f is None else replace(
+            f, data=np.empty(shape + f.data.shape, f.data.dtype))
+        for f in s.fields()))
+    for n in range(d.n_steps + 1):
+        if n:
+            s = sim.step(s, mode_sources=sim._sample_sources(n * d.dt))
+        stacked.t[n] = s.t
+        for levels, f in zip(stacked.fields(), s.fields()):
+            if f is not None:
+                levels.data[n] = f.data
+    return Trajectory(stacked)
 
 
 def _check_clamped(samples, mesh, degree, name):
@@ -358,8 +403,10 @@ def _check_clamped(samples, mesh, degree, name):
 
 
 def check_same_grid(a: Trajectory, b: Trajectory):
-    if len(a.states) != len(b.states):
+    sa, sb = a.stacked, b.stacked
+    if len(sa.t) != len(sb.t):
         raise GridMismatch("trajectories have different step counts")
-    sa, sb = a.states[0], b.states[0]
     if sa.u.data.shape != sb.u.data.shape or sa.v.data.shape != sb.v.data.shape:
         raise GridMismatch("trajectories use different discretizations")
+    if not np.array_equal(sa.t, sb.t):
+        raise GridMismatch("trajectories have different time levels")

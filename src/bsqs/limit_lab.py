@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import RunConfig, with_params
-from .energy import (_BLOCK, _levels, _slip_trace, _stack, _trace_norm_sq,
+from .energy import (_NEXT, _PREV, _slip_trace, _trace_norm_sq,
                      elastic_norm_sq, grad_norm_sq, l2_norm_sq,
                      viscous_norm_sq)
 from .errors import InsufficientPoints, OrderingViolation, Violation
@@ -56,67 +56,44 @@ class DistanceReport:
     delta_term: list = field(default_factory=list)  # delta max_n ||Dt u||_E
 
 
-# the earlier and the later level of each increment of a stacked block
-_PREV, _NEXT = slice(None, -1), slice(1, None)
-
-# the fields the distances and vanishing terms read
-_DISTANCED = ("u", "p_b", "v")
-
-
-def _blocks(states):
-    """The states in blocks of energy._BLOCK levels, each stacked with the
-    level before it, so that every increment lies in one block: yields
-    (stacked block, slice of the block's own levels)."""
-    for start in range(0, len(states), _BLOCK):
-        lo = max(start - 1, 0)
-        yield (_stack(states[lo:start + _BLOCK], _DISTANCED),
-               slice(start - lo, None))
-
-
 def _difference(a, b, name, sl):
     """Field `name` of stacked state a minus that of b, at the levels sl."""
     fa = getattr(a, name)
     return replace(fa, data=fa.data[sl] - getattr(b, name).data[sl])
 
 
-def trajectory_distance(a: Trajectory, b: Trajectory, params,
-                        blocks=None) -> dict:
+def trajectory_distance(a: Trajectory, b: Trajectory, params) -> dict:
     """The four discrete limit-topology distances between two trajectories
-    sharing a grid, data, and sources, with the norms evaluated over blocks
-    of energy._BLOCK levels at once.  `blocks`, if given, is the pair of
-    lists of the blocks of a and of b (_blocks) stacked already, so that a
-    sweep stacks each trajectory once."""
+    sharing a grid, data, and sources, with the norms evaluated over their
+    blocks of levels (Trajectory.blocks) at once."""
     check_same_grid(a, b)
-    dt = a.states[1].t - a.states[0].t
+    dt = a.times[1] - a.times[0]
     d1_sq = 0.0
     d2_sq = 0.0
     d3_sq = 0.0
     d4_sq = 0.0
-    if blocks is None:
-        blocks = _blocks(a.states), _blocks(b.states)
-    for (sa, own), (sb, _) in zip(*blocks):
+    for (sa, own), (sb, _) in zip(a.blocks(), b.blocks()):
         d1_sq = max(d1_sq, float(np.max(elastic_norm_sq(
             _difference(sa, sb, "u", own), params))))
         d2_sq += dt * float(np.sum(grad_norm_sq(
             _difference(sa, sb, "p_b", _NEXT))))
         d3_sq += dt * float(np.sum(viscous_norm_sq(
             _difference(sa, sb, "v", _NEXT), 0.5)))
-        slip_a = _slip_trace(_levels(sa, _PREV), _levels(sa, _NEXT), dt)
-        slip_b = _slip_trace(_levels(sb, _PREV), _levels(sb, _NEXT), dt)
+        slip_a = _slip_trace(sa.levels(_PREV), sa.levels(_NEXT), dt)
+        slip_b = _slip_trace(sb.levels(_PREV), sb.levels(_NEXT), dt)
         d4_sq += dt * float(np.sum(_trace_norm_sq(slip_a - slip_b)))
     return {"D1": float(np.sqrt(d1_sq)), "D2": float(np.sqrt(d2_sq)),
             "D3": float(np.sqrt(d3_sq)), "D4": float(np.sqrt(d4_sq))}
 
 
-def _vanishing_terms(traj: Trajectory, params, blocks) -> dict:
+def _vanishing_terms(traj: Trajectory, params) -> dict:
     """Magnitudes of the terms the limit passage sends to zero, with the
-    norms evaluated over the list of the trajectory's stacked blocks
-    (_blocks)."""
-    dt = traj.states[1].t - traj.states[0].t
+    norms evaluated over the trajectory's blocks of levels."""
+    dt = traj.times[1] - traj.times[0]
     max_dtu_l2 = 0.0
     max_dtu_e = 0.0
     max_v = 0.0
-    for blk, _ in blocks:
+    for blk, _ in traj.blocks():
         du = replace(blk.u, data=(blk.u.data[_NEXT] - blk.u.data[_PREV]) / dt)
         max_dtu_l2 = max(max_dtu_l2, float(np.max(l2_norm_sq(du))))
         max_dtu_e = max(max_dtu_e, float(np.max(elastic_norm_sq(du, params))))
@@ -135,21 +112,18 @@ def _swept_config(base: RunConfig, param: str, value: float) -> RunConfig:
     return with_params(base, **{param: value})
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1) -> DistanceReport:
+def run_sweep(spec: SweepSpec) -> DistanceReport:
     """Run the reference (parameter exactly 0) and every swept value from
-    identical data, and report distances and vanishing-term magnitudes.
-    `threads` is accepted for compatibility and ignored (see Simulator)."""
+    identical data, and report distances and vanishing-term magnitudes."""
     spec.validate()
     ref_cfg = _swept_config(spec.base, spec.param, 0.0)
     ref = run(ref_cfg, spec.data)
-    ref_blocks = list(_blocks(ref.states))
     rep = DistanceReport()
     for value in spec.values:
         cfg = _swept_config(spec.base, spec.param, value)
         traj = run(cfg, spec.data)
-        blocks = list(_blocks(traj.states))
-        d = trajectory_distance(traj, ref, cfg.params, (blocks, ref_blocks))
-        extras = _vanishing_terms(traj, cfg.params, blocks)
+        d = trajectory_distance(traj, ref, cfg.params)
+        extras = _vanishing_terms(traj, cfg.params)
         rep.values.append(value)
         rep.D1.append(d["D1"])
         rep.D2.append(d["D2"])
@@ -158,7 +132,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> DistanceReport:
         rep.kinetic_b.append(extras["kinetic_b"])
         rep.kinetic_f.append(extras["kinetic_f"])
         rep.delta_term.append(extras["delta_term"])
-        del traj, blocks    # dropped before the next run builds its own
+        del traj    # dropped before the next run builds its own
     return rep
 
 

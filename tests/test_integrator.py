@@ -133,11 +133,11 @@ def test_quasi_static_run_builds_one_simulator(monkeypatch):
     assert len(builds) == 1
 
 
-def test_threaded_run_is_deterministic():
+def test_inertial_repeat_run_is_deterministic():
     cfg = make_config(n1=4, n2=8)
     data = smooth_data(cfg, u0=True, u1=True, d0=True, v0=True)
-    a = run(cfg, data, threads=1)
-    b = run(cfg, data, threads=4)
+    a = run(cfg, data)
+    b = run(cfg, data)
     for sa, sb in zip(a.states, b.states):
         assert np.array_equal(sa.u.data, sb.u.data)
         assert np.array_equal(sa.v.data, sb.v.data)
@@ -437,4 +437,28 @@ def test_check_same_grid():
              InitialData())
     with pytest.raises(GridMismatch):
         check_same_grid(ta, tc)
+    # as many levels on the same grid, but at other times
+    td = run(make_config(dt=1 / 32, t_end=4 / 32), InitialData())
+    with pytest.raises(GridMismatch):
+        check_same_grid(ta, td)
     check_same_grid(ta, ta)                        # no raise
+
+
+@pytest.mark.parametrize("levels", [2, 8, 9, 16, 17, 33])
+def test_blocks_cover_each_level_and_increment_once(levels):
+    """Every level is an own level of one block, every increment (n - 1, n)
+    lies in one block, and every block is a view of the stacked run."""
+    traj = run(make_config(t_end=(levels - 1) / 16), InitialData())
+    stacked = traj.stacked
+    own_levels, increments = [], []
+    for blk, own in traj.blocks():
+        for f, g in zip(blk.fields(), stacked.fields()):
+            if f is not None:
+                assert np.shares_memory(f.data, g.data)
+        # the block's levels, read back from its times
+        idx = np.searchsorted(stacked.t, blk.t).tolist()
+        assert np.array_equal(stacked.t[idx], blk.t)
+        own_levels += idx[own]
+        increments += list(zip(idx, idx[1:]))
+    assert sorted(own_levels) == list(range(levels))
+    assert sorted(increments) == [(n - 1, n) for n in range(1, levels)]
