@@ -170,7 +170,7 @@ run.d0 = -0.2*cos(2*pi*x1)*(1-x3)
 
 def test_step_solves_only_modes_with_nonzero_rhs(monkeypatch):
     # source-free data in the k1 = 1 modes: every other mode's right-hand
-    # side stays zero (or at FFT roundoff), and a zero one is never solved.
+    # side stays zero, and a zero one is never solved.
     # Modes of one |k|^2 share an operator and are solved together, so the
     # solved modes are counted by column, not by call.
     cfg = parse_config(README_RUN)
@@ -264,10 +264,11 @@ def test_step_builds_only_the_operators_of_live_shells(monkeypatch):
 
 
 def test_step_builds_right_hand_sides_of_live_modes_only(monkeypatch):
-    """On the README configuration the data lives in the k2 = 0 modes (the
-    cos 2 pi x1 mode and four at FFT roundoff): build_step_rhs receives those
-    5 of the 40 modes at every step, and every other mode stays exactly
-    zero."""
+    """On the README configuration the data lives in the cos 2 pi x1 mode
+    (1, 0) alone: the forward transform chops the FFT's roundoff in every
+    other mode to exact zeros, so build_step_rhs receives that 1 of the 40
+    modes at every step, and every other mode, each with k2 != 0 among
+    them, stays exactly zero."""
     cfg = parse_config(README_RUN)
     cfg = replace(cfg, disc=replace(cfg.disc, nb=16, nf=16, t_end=0.5))
     received = []
@@ -281,13 +282,36 @@ def test_step_builds_right_hand_sides_of_live_modes_only(monkeypatch):
     traj = run(cfg, InitialData.from_plan(cfg))
     # n_steps steps plus the quasi-static initialization probe
     assert len(received) == cfg.disc.n_steps + 1
-    assert all(len(k1) == 5 and not k2.any() for k1, k2 in received)
+    assert all(len(k1) == 1 and not k2.any() for k1, k2 in received)
     modes = mode_table(cfg.disc.n1, cfg.disc.n2)
     dead = [i for i, m in enumerate(modes) if m.k2 != 0]
     assert len(modes) == 40 and len(dead) == 35
     for s in traj.states:
         for name in ("u", "p_b", "v", "p_f"):
             assert np.all(_by_mode(getattr(s, name))[dead] == 0)
+
+
+def test_driven_run_factors_only_the_shells_its_data_reach(monkeypatch):
+    """The README data in the mode (1, 0) with the sources F_b3 in the modes
+    (1, +-1), S and F_f1 in (0, +-1): a run factors exactly the two shells
+    |k|^2 = 1 and 2, since the chopped transforms leave every other mode of
+    the data and of each step's sources exactly zero."""
+    built = []
+    build = ModeOperator.__init__
+
+    def counting_init(self, mode, *args, **kwargs):
+        built.append(mode.k1 ** 2 + mode.k2 ** 2)
+        build(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(ModeOperator, "__init__", counting_init)
+    cfg = parse_config(README_RUN + """
+sources.Fb3 = 0.5*sin(2*pi*x1)*cos(2*pi*x2)*(1-x3)*cos(4*pi*t)
+sources.S = 0.3*cos(2*pi*x2)*x3*(1+sin(2*pi*t))
+sources.Ff1 = 0.2*cos(2*pi*x2)*(1+x3)*exp(-t)
+""")
+    traj = run(cfg, InitialData.from_plan(cfg))
+    assert sorted(built) == [1, 2]
+    assert np.abs(_by_mode(traj.states[-1].u)).max() > 0
 
 
 @pytest.mark.parametrize("n_live", [1, 2, 3])

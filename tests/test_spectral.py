@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from bsqs.errors import DimensionMismatch
 from bsqs.fem1d import VerticalMesh, mass
-from bsqs.spectral import (ModeIndex, SpectralField, enforce_hermitian,
-                           forward_transform, interface_trace,
-                           inverse_transform, lateral_grid, lateral_l2_norm_sq,
-                           mode_table, mode_weights, parseval_weights_grid,
+from bsqs.spectral import (ModeIndex, SpectralField, forward_transform,
+                           interface_trace, inverse_transform, lateral_grid,
+                           lateral_l2_norm_sq, mode_table, mode_weights,
+                           parseval_weights_grid, roundoff_floor,
                            sample_function, signed_k2, wavenumber, zero_field)
 
 MESH = VerticalMesh("biot", 2)
@@ -53,6 +53,17 @@ def test_round_trip_exact(rng):
     assert np.allclose(back, samples, atol=1e-13)
 
 
+def enforce_hermitian(field: SpectralField) -> SpectralField:
+    """Project the self-conjugate k1 columns onto Hermitian symmetry in k2
+    (idempotent; a no-op for spectra of real samples)."""
+    data = field.data.copy()
+    n2 = data.shape[1]
+    for col in (0, data.shape[0] - 1):
+        flipped = np.conj(data[col, (-np.arange(n2)) % n2])
+        data[col] = 0.5 * (data[col] + flipped)
+    return SpectralField(field.mesh, field.degree, data)
+
+
 def hermitian_inverse(fld):
     """enforce_hermitian, then the full spectrum from Hermitian symmetry and
     a complex ifft2: the reference for inverse_transform's real FFT."""
@@ -78,6 +89,55 @@ def test_inverse_transform_projects_like_enforce_hermitian(rng, n1, n2):
     assert got.shape == (n1, n2, 3, MESH.n_nodes(2))
     np.testing.assert_allclose(got, want, rtol=0,
                                atol=1e-14 * np.abs(want).max())
+
+
+def _x1_profile(n1, n2, shape):
+    """shape(x1) * (1 - x3)^2 on the lateral grid x the P2 Biot nodes, as one
+    scalar component: (n1, n2, 1, n_nodes)."""
+    x1, _ = lateral_grid(n1, n2)
+    x3 = MESH.nodes(2)
+    prof = shape(x1)[:, None, None] * (1 - x3)[None, None, :] ** 2
+    return np.broadcast_to(prof, (n1, n2, len(x3)))[:, :, None, :].copy()
+
+
+@pytest.mark.parametrize("n1, n2", [(8, 8), (16, 16), (6, 4)])
+def test_single_trig_mode_transforms_to_one_stored_mode(n1, n2):
+    """cos 2 pi x1 (1 - x3)^2 has one stored mode, (1, 0); the FFT's roundoff
+    in every other mode is chopped to exact zeros."""
+    samples = _x1_profile(n1, n2, lambda x1: np.cos(2 * np.pi * x1))
+    fld = forward_transform(samples, MESH, 2)
+    live = np.flatnonzero(fld.data.reshape(-1, fld.data[0, 0].size).any(axis=1))
+    assert [mode_table(n1, n2)[i] for i in live] == [ModeIndex(1, 0)]
+    nodes = MESH.nodes(2)
+    np.testing.assert_allclose(fld.data[1, 0, 0], 0.5 * (1 - nodes) ** 2,
+                               rtol=1e-14, atol=1e-15)
+
+
+def test_content_above_the_roundoff_floor_survives():
+    """A second mode at 1e-10 of its profile's maximum is far above the floor
+    (about 3.5e-14 at 8 x 8) and is kept with its value."""
+    assert 1e-14 < roundoff_floor(8, 8) < 1e-13
+    samples = _x1_profile(8, 8, lambda x1: np.cos(2 * np.pi * x1)
+                          + 1e-10 * np.cos(4 * np.pi * x1))
+    fld = forward_transform(samples, MESH, 2)
+    ratio = np.abs(fld.data[2, 0, 0, :-1]) / np.abs(fld.data[1, 0, 0, :-1])
+    np.testing.assert_allclose(ratio, 1e-10, rtol=1e-4)
+    assert np.count_nonzero(fld.data.reshape(-1, fld.data[0, 0].size).any(
+        axis=1)) == 2
+
+
+def test_zero_profile_stays_zero():
+    """All-zero samples, and a zero component and node inside live data (the
+    clamped node x3 = 1, the second component), transform to exact zeros
+    with no 0/0."""
+    fld = forward_transform(np.zeros((8, 8, 3, MESH.n_nodes(2))), MESH, 2)
+    assert not fld.data.any()
+    samples = np.zeros((8, 8, 3, MESH.n_nodes(2)))
+    samples[:, :, :1] = _x1_profile(8, 8, lambda x1: np.sin(2 * np.pi * x1))
+    fld = forward_transform(samples, MESH, 2)
+    assert not fld.data[:, :, 1:].any()
+    assert not fld.data[..., MESH.clamped_node(2)].any()
+    assert fld.data[1, 0, 0, 0] == pytest.approx(-0.5j)
 
 
 def test_forward_scalar_promotes_component_axis(rng):
