@@ -296,12 +296,13 @@ class Simulator:
                 lateral + (-1, data.shape[-1])))
 
         u, p, v, pf = lay.unpack(x)
-        u_next = field_of(self.mb, 2, u)
         w_next = None
         if cfg.params.rho_b > 0:
-            w_next = SpectralField(self.mb, 2, (u_next.data - s.u.data) / d.dt)
-        return State(s.t + d.dt, u_next, w_next, field_of(self.mb, 1, p),
-                     field_of(self.mf, 2, v), field_of(self.mf, 1, pf))
+            u_prev = prior[0] if every else prior[0][live]
+            w_next = field_of(self.mb, 2, (u - u_prev) / d.dt)
+        return State(s.t + d.dt, field_of(self.mb, 2, u), w_next,
+                     field_of(self.mb, 1, p), field_of(self.mf, 2, v),
+                     field_of(self.mf, 1, pf))
 
 
 def initialize(cfg: RunConfig, data: InitialData,
