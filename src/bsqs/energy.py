@@ -24,10 +24,10 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .config import PhysicalParams, SourceSpec
 from .errors import BalanceViolation, SingularSystem
-from .fem1d import evaluate_derivative, mass, operator_matrix
-from .mode_assembly import (Layout, _entries, _mats, darcy_split,
-                            divergence_split, elastic_split, frame_split,
-                            wave_frames)
+from .fem1d import evaluate_derivative, mass
+from .mode_assembly import (Layout, _entries, _mass_entries, _mats,
+                            darcy_split, divergence_split, elastic_split,
+                            frame_split, wave_frames)
 from .spectral import (SpectralField, lateral_l2_norm_sq, mode_table,
                        mode_weights, parseval_weights_grid, sample_sources)
 
@@ -117,9 +117,11 @@ def _frame_form(fld: SpectralField, mats, turn: bool):
 def _gram(mesh, degree: int, ncomp: int = 1):
     """Sparse (banded) vertical mass Gram matrix of a degree-`degree` field,
     block-diagonal over its `ncomp` components on the component-major
-    profile."""
-    G = scipy.sparse.csr_matrix(operator_matrix(mesh, degree, degree, 0, 0))
-    return scipy.sparse.kron(scipy.sparse.identity(ncomp), G, format="csr")
+    profile: the step's mass entries (mode_assembly._mass_entries) as one
+    CSR matrix."""
+    n = ncomp * mesh.n_nodes(degree)
+    rows, cols, values = _mass_entries(mesh, degree, ncomp)
+    return scipy.sparse.csr_matrix((values, (rows, cols)), shape=(n, n))
 
 
 def elastic_norm_sq(u: SpectralField, p: PhysicalParams):
