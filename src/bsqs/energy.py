@@ -24,12 +24,11 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .config import PhysicalParams, SourceSpec
 from .errors import BalanceViolation, SingularSystem
-from .fem1d import evaluate_derivative, mass
-from .mode_assembly import (Layout, _entries, _mass_entries, _mats,
-                            darcy_split, divergence_split, elastic_split,
-                            frame_split, wave_frames)
-from .spectral import (SpectralField, lateral_l2_norm_sq, mode_table,
-                       mode_weights, parseval_weights_grid, sample_sources)
+from .fem1d import evaluate_derivative
+from .mode_assembly import (Layout, _entries, _mass_entries, darcy_split,
+                            divergence_split, elastic_split, frame_split,
+                            wave_frames)
+from .spectral import SpectralField, mode_table, mode_weights, sample_sources
 
 TWO_PI = 2.0 * np.pi
 
@@ -55,60 +54,70 @@ def _value(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _frame_form(fld: SpectralField, mats, turn: bool):
-    """Sum over stored modes of weight * Re(z^H A(kap) z), for the real form
-    A(kap) = sum over m of kap**m * mats[m] (mats: real CSR matrices on the
-    component-major profile, the frame coefficients of mode_assembly's
-    frame_split) at each mode's frame symbol kap = 2 pi |k|.
+def _frame_form(a: SpectralField, b: SpectralField, mats, turn: bool):
+    """Sum over stored modes of weight * Re(z^H A(kap) y), for the profiles z
+    of a and y of b and the real form A(kap) = sum over m of kap**m *
+    mats[m] (mats: real CSR matrices on the component-major profile, the
+    frame coefficients of mode_assembly's frame_split) at each mode's frame
+    symbol kap = 2 pi |k|.  A norm passes its field as both a and b.
 
-    z is the mode's profile; with `turn` its (first, second) components are
-    turned into the wave-vector frame, (-i u_L, u_T), after the one
-    transpose copy into the (ncomp * nn, levels * live modes) profile
-    matrix P.
-    Then Re(z^H A z) per column is a real dot product of P and A P viewed as
-    interleaved (re, im) pairs: one real product per matrix.
+    With `turn` the profiles' (first, second) components are turned into
+    the wave-vector frame, (-i u_L, u_T), after the one transpose copy of
+    each field into its (ncomp * nn, levels * live modes) profile matrix P
+    (one copy when a is b).  Then Re(z^H A y) per column is a real dot
+    product of Pa and A Pb viewed as interleaved (re, im) pairs: one real
+    product per matrix.
 
-    Only the modes that carry data are copied, turned and multiplied: a
-    mode whose profile is zero at every level adds exactly zero, so when
-    some mode is zero P holds the live modes' columns only, and their
-    values are scattered into zeros before the weighted mode sum.
+    Only the modes that carry data in both fields are copied, turned and
+    multiplied: a mode whose profile is zero at every level of a or of b
+    adds exactly zero, so when some mode is zero P holds the live modes'
+    columns only, and their values are scattered into zeros before the
+    weighted mode sum.
 
-    Any leading axes of fld.data (time levels, say) are kept: the result has
-    one value per level, or is a float without them.  Every step of a
-    level's value depends only on that level's columns, so it does not
+    Any leading axes of the fields' data (time levels, say) are kept: the
+    result has one value per level, or is a float without them.  Every step
+    of a level's value depends only on that level's columns, so it does not
     depend on how many levels are evaluated with it, nor on which modes are
     live at the other levels."""
-    lead = fld.data.shape[:-4]
-    kap, c, s, w = _frame_modes(*fld.lateral_shape)
-    ncomp, nn = fld.data.shape[-2:]
-    D = fld.data.reshape(-1, kap.size, ncomp * nn)
-    live = D.any(axis=(0, 2))
+    lead = a.data.shape[:-4]
+    kap, c, s, w = _frame_modes(*a.lateral_shape)
+    ncomp, nn = a.data.shape[-2:]
+    Da = a.data.reshape(-1, kap.size, ncomp * nn)
+    Db = b.data.reshape(Da.shape)
+    live = Da.any(axis=(0, 2))
+    if b is not a:
+        live &= Db.any(axis=(0, 2))
     if not live.any():
         return _value(np.zeros(lead))
     # with every mode live, P is the one copy of the whole field (an index
     # array would gather it once more)
     live = slice(None) if live.all() else np.flatnonzero(live)
-    P = np.ascontiguousarray(D[:, live].reshape(-1, ncomp * nn).T)
     kap = kap[live]
-    c, s = (a.reshape(-1, 2)[live].ravel() for a in (c, s))
-    if turn:
-        # u1 and u2 as (re, im) float views (nn, levels, 2 * modes)
-        V = P.view(float).reshape(ncomp, nn, -1, c.size)
-        a, b = V[0], V[1]
-        u_l = a * c                     # u_L = c u1 + s u2
-        t = b * s
-        u_l += t
-        b *= c                          # u_T = c u2 - s u1, in place
-        np.multiply(a, s, out=t)
-        b -= t
-        np.multiply(u_l.view(complex), -1j, out=a.view(complex))
-    Pr = P.view(float)
+    c, s = (x.reshape(-1, 2)[live].ravel() for x in (c, s))
+
+    def profiles(D):
+        P = np.ascontiguousarray(D[:, live].reshape(-1, ncomp * nn).T)
+        if turn:
+            # u1 and u2 as (re, im) float views (nn, levels, 2 * modes)
+            V = P.view(float).reshape(ncomp, nn, -1, c.size)
+            u1, u2 = V[0], V[1]
+            u_l = u1 * c                # u_L = c u1 + s u2
+            t = u2 * s
+            u_l += t
+            u2 *= c                     # u_T = c u2 - s u1, in place
+            np.multiply(u1, s, out=t)
+            u2 -= t
+            np.multiply(u_l.view(complex), -1j, out=u1.view(complex))
+        return P.view(float)
+
+    Pa = profiles(Da)
+    Pb = Pa if b is a else profiles(Db)
     quad = 0.0
     for power, A in enumerate(mats):
         if A.nnz:
-            q = np.einsum("ij,ij->j", Pr, A @ Pr).reshape(-1, kap.size, 2)
+            q = np.einsum("ij,ij->j", Pa, A @ Pb).reshape(-1, kap.size, 2)
             quad = quad + kap**power * q.sum(axis=-1)
-    every = np.zeros((D.shape[0], w.size))
+    every = np.zeros((Da.shape[0], w.size))
     every[:, live] = quad
     return _value((every * w).sum(axis=-1).reshape(lead))
 
@@ -128,25 +137,32 @@ def elastic_norm_sq(u: SpectralField, p: PhysicalParams):
     """a_E(u, u) = 2 mu ||D(u)||^2 + lam ||div u||^2 over all modes at once,
     from the frame matrices of the form's split (per level of any leading
     axes)."""
-    return _frame_form(u, frame_split(elastic_split, u.mesh, p.mu, p.lam),
+    return _frame_form(u, u,
+                       frame_split(elastic_split, u.mesh, p.mu, p.lam),
                        turn=True)
 
 
 def viscous_norm_sq(v: SpectralField, nu: float):
     """2 nu ||D(v)||^2 (the Stokes dissipation quadratic form)."""
-    return _frame_form(v, frame_split(elastic_split, v.mesh, nu, 0.0),
+    return _frame_form(v, v, frame_split(elastic_split, v.mesh, nu, 0.0),
                        turn=True)
 
 
 def grad_norm_sq(p_b: SpectralField):
     """||grad p||^2 with lateral symbols: sum kappa^2 |p|^2 + |p'|^2, the
     Darcy form's split Kp + kappa^2 Mp."""
-    return _frame_form(p_b, frame_split(darcy_split, p_b.mesh), turn=False)
+    return _frame_form(p_b, p_b, frame_split(darcy_split, p_b.mesh),
+                       turn=False)
+
+
+def _mass_pairing(a: SpectralField, b: SpectralField):
+    """Re (a, b)_{L2} by modes, per level: the frame kernel with the mass
+    Gram matrix, which needs no turn."""
+    return _frame_form(a, b, (_gram(a.mesh, a.degree, a.ncomp),), turn=False)
 
 
 def l2_norm_sq(fld: SpectralField):
-    return _frame_form(fld, (_gram(fld.mesh, fld.degree, fld.ncomp),),
-                       turn=False)
+    return _mass_pairing(fld, fld)
 
 
 def l2_norm(fld: SpectralField) -> float:
@@ -241,80 +257,96 @@ def audit(traj, p: PhysicalParams, sources: SourceSpec = None) -> EnergyReport:
     sampling each step's sources once.  For source-free runs asserts the
     dissipation inequality e_n + d_n <= e_0 up to roundoff tolerance.
 
-    The norms are evaluated over the trajectory's blocks of levels
-    (Trajectory.blocks), each once per level, by energy() and
-    dissipation_increment(), and the breakdown is the terms they sum.  The
-    sums, the source work and the balance check then run level by level, so
-    a violation is raised at the first level that breaks the inequality."""
+    The norms and the source work are evaluated over the trajectory's blocks
+    of levels (Trajectory.blocks), each once per level, by energy(),
+    dissipation_increment() and _source_work(), and the breakdown is the
+    terms they sum.  The sums and the balance check then run level by
+    level, so a violation is raised at the first level that breaks the
+    inequality."""
     stacked = traj.stacked
     times = traj.times
     dt = times[1] - times[0] if len(times) > 1 else 0.0
     s0 = stacked.levels(0)
+    source_free = sources is None or sources.is_zero()
+    # each step's sources at its implicit level, one level per step
+    loads = None if source_free else _sample_levels(sources, s0, times[1:])
     # level 0 ends no increment: its Darcy and viscous terms are evaluated
-    # from its own state, and its Kelvin-Voigt and slip terms are zero
+    # from its own state, and its Kelvin-Voigt, slip and source terms are
+    # zero
     terms = {k: [] for k in _BREAKDOWN_KEYS}
     terms.update(darcy=[p.k_perm * grad_norm_sq(s0.p_b)],
                  viscous=[viscous_norm_sq(s0.v, p.nu)],
                  kelvin_voigt=[0.0], slip=[0.0])
-    e, d_inc, slip = [], [0.0], [0.0]
+    e, d_inc, slip, work_inc = [], [0.0], [0.0], [0.0]
     for blk, own in traj.blocks():
         level_terms = {}
         e += energy(blk.levels(own), p, level_terms).tolist()
         if len(blk.t) > 1:
             prev, nxt = blk.levels(_PREV), blk.levels(_NEXT)
+            # d_inc holds the increments up to the block's first level, so
+            # the block's increments take the next len(blk.t) - 1 loads
+            steps = slice(len(d_inc) - 1, len(d_inc) + len(blk.t) - 2)
             d_inc += dissipation_increment(prev, nxt, p, dt,
                                            level_terms).tolist()
             slip += slip_norm(prev, nxt, dt).tolist()
+            if loads is not None:
+                work_inc += _source_work(prev, nxt, [
+                    None if f is None else replace(f, data=f.data[steps])
+                    for f in loads], dt).tolist()
         for k, vals in level_terms.items():
             terms[k] += vals.tolist()
 
     rep = EnergyReport(times=times, e=e, slip=slip, breakdown=terms)
-    source_free = sources is None or sources.is_zero()
-    n1, n2 = s0.u.lateral_shape
-    sampled = []
     d_cum = 0.0
     work = 0.0
     tol = 1e-10 * max(e[0], 1.0)
-    for n, t in enumerate(times):
+    for n in range(len(times)):
         d_cum += d_inc[n]
         if n and not source_free:
-            sampled.append(sample_sources(sources, n1, n2, s0.u.mesh,
-                                          s0.v.mesh, t))
-            work += dt * _source_work(stacked.levels(n - 1),
-                                      stacked.levels(n), sampled[-1], dt)
+            work += dt * work_inc[n]
         r_n = e[n] + d_cum - e[0] - work
         if source_free and r_n > tol:
             raise BalanceViolation(n, r_n)
         rep.d_cum.append(d_cum)
         rep.residual.append(r_n)
     if not source_free:
-        bound = e[0] + _dual_source_quadrature(s0, p, sampled, dt)
+        bound = e[0] + _dual_source_quadrature(s0, p, loads, dt)
         peak = max(en + dn for en, dn in zip(rep.e, rep.d_cum))
         rep.driven_constant = peak / max(bound, 1e-300)
     return rep
 
 
-def _pairing(load_field, state_field, gram) -> float:
-    """Real L2 pairing of a sampled source with a state field, by modes."""
-    n1, n2 = state_field.lateral_shape
-    w = parseval_weights_grid(n1, n2)
-    vals = np.einsum("kjcn,kjcn->kj", np.conj(state_field.data),
-                     load_field.data @ gram.T).real
-    return float(np.sum(w * vals))
+def _sample_levels(sources, s0, times):
+    """The sources sampled at each of `times` (sample_sources on the grid
+    and meshes of the state s0), written straight into level-stacked
+    fields: (F_b, S, F_f) with the levels on a leading axis, None for an
+    absent source."""
+    n1, n2 = s0.u.lateral_shape
+    out = (None, None, None)
+    for n, t in enumerate(times):
+        fields = sample_sources(sources, n1, n2, s0.u.mesh, s0.v.mesh, t)
+        if n == 0:
+            out = tuple(None if f is None else replace(f, data=np.empty(
+                (len(times),) + f.data.shape, f.data.dtype)) for f in fields)
+        for levels, f in zip(out, fields):
+            if f is not None:
+                levels.data[n] = f.data
+    return out
 
 
-def _source_work(prev, s, fields, dt):
-    """(F_b, Dt u) + (S, p^{n+1}) + (F_f, v^{n+1}) at the implicit level, for
-    the sources (Fb, S, Ff) sampled at that level."""
-    Fb, S, Ff = fields
+def _source_work(prev, s, loads, dt):
+    """(F_b, Dt u) + (S, p^{n+1}) + (F_f, v^{n+1}) at the implicit levels of
+    the increments (prev, s), one value per level, for the level-stacked
+    sources (Fb, S, Ff) sampled at those levels."""
+    Fb, S, Ff = loads
     total = 0.0
     if Fb is not None:
         du = replace(s.u, data=(s.u.data - prev.u.data) / dt)
-        total += _pairing(Fb, du, mass(s.u.mesh, 2))
+        total = total + _mass_pairing(du, Fb)
     if S is not None:
-        total += _pairing(S, s.p_b, mass(s.p_b.mesh, 1))
+        total = total + _mass_pairing(s.p_b, S)
     if Ff is not None:
-        total += _pairing(Ff, s.v, mass(s.v.mesh, 2))
+        total = total + _mass_pairing(s.v, Ff)
     return total
 
 
@@ -343,49 +375,54 @@ def _band_form(entries, position, n):
     return coeffs, kl + ku + rows - cols, cols, kl, ku
 
 
-def _dual_source_quadrature(s0, p, sampled, dt):
+def _dual_source_quadrature(s0, p, loads, dt):
     """Time quadrature of the source norms entering the a-priori bound:
     ||F_b||_{L2}^2 plus discrete dual norms of S (against the Darcy form) and
     F_f (against the viscous form on the divergence-free subspace), from the
-    sources (Fb, S, Ff) sampled at each step's implicit level.
+    level-stacked sources (Fb, S, Ff) sampled at the steps' implicit levels.
 
     The dual norm of F_f on the divergence-free subspace is the load's
     pairing with the velocity of the Stokes saddle-point system
     [[AV, B^T], [B, 0]] (B the divergence pairing), so no basis of the
     subspace is formed.  In the frame of a mode's wave vector both forms
     depend only on |k|^2 and, with the longitudinal components carrying a
-    factor -i (frame_split), are real: each distinct |k|^2 is factored once
-    as one real band matrix, at the frame symbols (2 pi |k|, 0), in the
-    node-interleaved order of the step's free DOFs, and applied to the
-    frame-turned loads of all its modes and steps at once."""
+    factor -i (frame_split), are real: each distinct |k|^2 that a load
+    reaches is factored once as one real band matrix, at the frame symbols
+    (2 pi |k|, 0), in the node-interleaved order of the step's free DOFs,
+    and applied to the frame-turned loads of all its modes and steps at
+    once.  A source's load is its profile times the Gram matrix of
+    l2_norm_sq."""
     n1, n2 = s0.u.lateral_shape
     mb, mf = s0.u.mesh, s0.v.mesh
-    bm = _mats(mb)
-    fm = _mats(mf)
     w = np.repeat(mode_weights(n1, n2), n2)
     modes = mode_table(n1, n2)
     first, shell, c, s = wave_frames(modes)
+    Fb, S, Ff = loads
     total = 0.0
-    S_loads, Ff_loads = [], []
-    for Fb, S, Ff in sampled:
-        if Fb is not None:
-            total += dt * lateral_l2_norm_sq(Fb, bm["M"])
-        if S is not None:
-            S_loads.append(S.data @ bm["Mp"])
-        if Ff is not None:
-            Ff_loads.append(Ff.data @ fm["M"])
+    if Fb is not None:
+        total += dt * float(np.sum(l2_norm_sq(Fb)))
+
+    def gram_loads(fld):
+        """G z of each mode and step of a level-stacked source z, as
+        (modes, ncomp * nn, steps)."""
+        G = _gram(fld.mesh, fld.degree, fld.ncomp)
+        Z = fld.data.reshape(-1, G.shape[0])
+        return (G @ Z.T).reshape(G.shape[0], -1, len(w)).transpose(2, 0, 1)
 
     def dual_sum(loads, form):
         """dt * sum over modes and steps of w * Re(l^H A(kap)^-1 l), for the
         loads l (modes, n, steps) in band order and the band form (_band_form)
         of the real frame matrix A(kap): factored once per distinct |k|^2
-        (dgbtrf), with the loads of all its modes and steps solved at once as
-        (re, im) columns (dgbtrs)."""
+        with a nonzero load (dgbtrf), with the loads of all its modes and
+        steps solved at once as (re, im) columns (dgbtrs).  A |k|^2 whose
+        loads are all zero adds exactly zero and is skipped."""
         coeffs, band_rows, cols, kl, ku = form
         n = loads.shape[1]
         out = 0.0
         for g, idx in enumerate(first):
             members = np.flatnonzero(shell == g)
+            if not loads[members].any():
+                continue
             kap = TWO_PI * np.hypot(*modes[idx])
             ab = np.zeros((2 * kl + ku + 1, n), order="F")
             ab[band_rows, cols] = kap ** np.arange(len(coeffs)) @ coeffs
@@ -400,18 +437,15 @@ def _dual_source_quadrature(s0, p, sampled, dt):
             out += w[members] @ per.sum(axis=1)
         return dt * out
 
-    def stacked(loads):
-        return np.stack(loads, axis=-1).reshape(len(w), -1, len(loads))
-
-    if S_loads:
+    if S is not None:
         # the free pressure DOFs in node order
         free = mb.free_mask(1)
         position = np.where(free, np.cumsum(free) - 1, -1)
         form = _band_form([[e] for e in _entries(frame_split, darcy_split,
                                                  mb)],
                           position, int(free.sum()))
-        total += dual_sum(stacked(S_loads)[:, free], form)
-    if Ff_loads:
+        total += dual_sum(gram_loads(S)[:, free], form)
+    if Ff is not None:
         # the fluid DOFs (v component-major, then p_f) lead the step's free
         # order; their block of it is the Stokes system's band order
         lay = Layout(mb, mf)
@@ -427,14 +461,14 @@ def _dual_source_quadrature(s0, p, sampled, dt):
             position, n)
         # the loads' (F_f1, F_f2) components turned into each mode's frame,
         # as (-i l_L, l_T)
-        L = stacked(Ff_loads).reshape(len(w), 3, nv // 3, -1)
+        L = gram_loads(Ff).reshape(len(w), 3, nv // 3, -1)
         cc, ss = c[:, None, None], s[:, None, None]
         a, b = L[:, 0], L[:, 1]
         L[:, 0], L[:, 1] = -1j * (cc * a + ss * b), cc * b - ss * a
-        loads = np.zeros((len(w), n, len(Ff_loads)), dtype=complex)
+        turned = np.zeros((len(w), n, L.shape[-1]), dtype=complex)
         vpos = position[:nv]
-        loads[:, vpos[vpos >= 0]] = L.reshape(len(w), nv, -1)[:, vpos >= 0]
-        total += dual_sum(loads, form)
+        turned[:, vpos[vpos >= 0]] = L.reshape(len(w), nv, -1)[:, vpos >= 0]
+        total += dual_sum(turned, form)
     return total
 
 

@@ -374,7 +374,8 @@ def initialize(cfg: RunConfig, data: InitialData,
 def run(cfg: RunConfig, data: InitialData) -> Trajectory:
     """Full implicit-Euler trajectory: the states only, each step's fields
     written into its level of the stacked trajectory; energy.audit evaluates
-    the diagnostics from them."""
+    the diagnostics from them.  Each step's sources are sampled at the time
+    the step stamps on its level (s.t + dt), where the audit samples them."""
     d = cfg.disc
     ratio = d.t_end / d.dt
     if abs(ratio - round(ratio)) > 1e-9:
@@ -388,7 +389,7 @@ def run(cfg: RunConfig, data: InitialData) -> Trajectory:
         for f in s.fields()))
     for n in range(d.n_steps + 1):
         if n:
-            s = sim.step(s, mode_sources=sim._sample_sources(n * d.dt))
+            s = sim.step(s, mode_sources=sim._sample_sources(s.t + d.dt))
         stacked.t[n] = s.t
         for levels, f in zip(stacked.fields(), s.fields()):
             if f is not None:

@@ -1,4 +1,4 @@
-"""Lateral Fourier transforms, mode bookkeeping, traces, and Parseval sums.
+"""Lateral Fourier transforms, mode bookkeeping, traces, and Parseval weights.
 
 Fields are periodic in x1 and x2 with period 1.  The forward transform
 carries the 1/(n1*n2) weight, so the (0,0) coefficient is the lateral mean
@@ -208,18 +208,3 @@ def interface_trace(field: SpectralField) -> np.ndarray:
     """Per-mode complex boundary values at x3 = 0: shape (n1h, n2, ncomp)."""
     node = field.mesh.interface_node(field.degree)
     return field.data[:, :, :, node]
-
-
-def parseval_weights_grid(n1: int, n2: int) -> np.ndarray:
-    """Weights w[k1, j] broadcastable over stored-mode arrays."""
-    return mode_weights(n1, n2)[:, None]
-
-
-def lateral_l2_norm_sq(field: SpectralField, vertical_gram: np.ndarray) -> float:
-    """|| field ||_{L2(box)}^2 via Parseval: sum over modes and components of
-    profile^H * G * profile with the supplied vertical Gram matrix."""
-    n1, n2 = field.lateral_shape
-    w = parseval_weights_grid(n1, n2)
-    quad = np.einsum("kjcn,kjcn->kj", np.conj(field.data),
-                     field.data @ vertical_gram.T).real
-    return float(np.sum(w * quad))

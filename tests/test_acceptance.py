@@ -18,7 +18,7 @@ from bsqs.integrator import InitialData, Simulator, run
 from bsqs.limit_lab import SweepSpec, run_sweep
 from bsqs.mode_assembly import assemble_generator, dense_real_space_oracle
 from bsqs.spectral import forward_transform, inverse_transform, mode_table, \
-    parseval_weights_grid
+    mode_weights
 from bsqs.verification import (convergence_study, manufacture_sources,
                                reconstruction_case, solve_steady, steady_case,
                                temporal_case)
@@ -167,7 +167,7 @@ def test_criterion_05_pressure_reconstruction_consistency():
         pi = reconstruct_fluid_pressure(s.p_b, s.v, params.nu, mf.nodes(1))
         diff = pi - s.p_f.data[:, :, 0, :]
         Mp = mass(mf, 1)
-        w = parseval_weights_grid(cfg.disc.n1, cfg.disc.n2)
+        w = mode_weights(cfg.disc.n1, cfg.disc.n2)[:, None]
         errs.append(float(np.sqrt(np.sum(w * np.einsum(
             "kjn,nm,kjm->kj", np.conj(diff), Mp, diff).real))))
     assert errs[0] > errs[1] > errs[2], f"not decreasing: {errs}"

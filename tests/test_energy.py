@@ -1,6 +1,8 @@
 """Energy bookkeeping: frozen norm values, the discrete dissipation
 inequality, balance audits, and interface residual probes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,15 +10,14 @@ import scipy.linalg
 from bsqs import energy as en
 from bsqs.config import SourceSpec
 from bsqs.errors import BalanceViolation
-from bsqs.fem1d import VerticalMesh
+from bsqs.fem1d import VerticalMesh, mass
 from bsqs.integrator import InitialData, initialize, run
 from bsqs.mode_assembly import (FRAME_MONOMIALS, MONOMIALS, _mats,
                                 darcy_split, dense_split, divergence_split,
                                 elastic_blocks, elastic_split, frame_split,
                                 monomial_weights, wave_frames)
-from bsqs.spectral import (SpectralField, forward_transform,
-                           lateral_l2_norm_sq, mode_table, mode_weights,
-                           sample_sources, zero_field)
+from bsqs.spectral import (SpectralField, forward_transform, mode_table,
+                           mode_weights, sample_sources, zero_field)
 from conftest import make_config, make_params, smooth_initial_callables
 
 
@@ -274,7 +275,7 @@ def test_frame_kernel_multiplies_only_the_live_modes(rng):
     columns = []
     mats = [_CountingMatrix(A, columns)
             for A in frame_split(elastic_split, mb, p.mu, p.lam)]
-    value = en._frame_form(u, mats, turn=True)
+    value = en._frame_form(u, u, mats, turn=True)
     assert columns and all(n == 3 * levels * 2 for n in columns)
     parts = []
     for m in live:
@@ -285,7 +286,7 @@ def test_frame_kernel_multiplies_only_the_live_modes(rng):
     assert value == pytest.approx(sum(parts), rel=1e-13, abs=0.0)
     columns.clear()
     zero = SpectralField(mb, 2, np.zeros_like(u.data))
-    assert en._frame_form(zero, mats, turn=True).tolist() == [0.0] * levels
+    assert en._frame_form(zero, zero, mats, turn=True).tolist() == [0.0] * levels
     assert columns == []
 
 
@@ -513,6 +514,89 @@ def test_audit_samples_each_source_once_per_step(monkeypatch):
     assert len(calls) == cfg.disc.n_steps * 3
 
 
+def test_run_and_audit_sample_the_sources_at_the_same_times(monkeypatch):
+    """Each step's sources are sampled at the time stamped on its level, by
+    the run and by the audit alike.  At dt = 0.1 the stamps, sums of dt, part
+    from n * dt at steps 6, 7 and 8."""
+    import bsqs.spectral
+    cfg = replace(make_config(dt=0.1, t_end=0.8), sources=SourceSpec(
+        S=lambda x1, x2, x3, t: np.cos(2 * np.pi * x2) * x3 * (1 + t)))
+    times = []
+    sample = bsqs.spectral.sample_function
+
+    def recorded(*args, t=0.0, **kwargs):
+        times.append(t)
+        return sample(*args, t=t, **kwargs)
+
+    monkeypatch.setattr(bsqs.spectral, "sample_function", recorded)
+    traj = run(cfg, InitialData())
+    in_run = list(times)
+    times.clear()
+    en.audit(traj, cfg.params, cfg.sources)
+    assert len(in_run) == cfg.disc.n_steps
+    assert in_run == times == traj.times[1:]
+
+
+def test_mass_pairing_matches_dense_per_level_sum(rng):
+    """The two-field frame kernel with the mass Gram equals a dense
+    per-level Re sum over modes of w a^H G b, for fields whose live modes
+    differ and one level where a is zero; each level's value is the one of
+    that level alone.  With no common live mode it is exactly zero."""
+    n1, n2, levels = 6, 4, 3
+    mb = VerticalMesh("biot", 4)
+    a = random_field(rng, mb, 2, n1, n2, 3, (levels,))
+    b = random_field(rng, mb, 2, n1, n2, 3, (levels,))
+    fa = a.data.reshape(levels, 16, 3, -1)
+    fb = b.data.reshape(levels, 16, 3, -1)
+    fa[:, :6] = 0.0
+    fb[:, 10:] = 0.0
+    fa[1] = 0.0
+    G = mass(mb, 2)
+    w = mode_weights(n1, n2)[:, None]
+    dense = [float(np.sum(w * np.einsum("kjcn,nm,kjcm->kj", a.data[n].conj(),
+                                        G, b.data[n]).real))
+             for n in range(levels)]
+    value = en._mass_pairing(a, b)
+    assert value.tolist() == pytest.approx(dense, rel=1e-13, abs=0.0)
+    assert value[1] == 0.0
+    for n in range(levels):
+        one = en._mass_pairing(replace(a, data=a.data[n]),
+                               replace(b, data=b.data[n]))
+        assert one == value[n]
+    fa[:, 6:] = 0.0
+    fa[:, :6] = fb[:, :6]
+    fb[:, :6] = 0.0
+    assert en._mass_pairing(a, b).tolist() == [0.0] * levels
+
+
+@pytest.mark.parametrize("kept", [(1,), (2,)])
+def test_dual_bound_factors_only_the_shells_a_load_reaches(monkeypatch,
+                                                           kept):
+    """S = cos 2 pi x2 and F_f = cos 2 pi x2 e_1 load the modes (0, +-1)
+    only: the dual source bound factors one band matrix per form, for the
+    one |k|^2 = 1 of the six on the 4 x 4 grid."""
+    import bsqs.energy
+    sources = SourceSpec(
+        S=lambda x1, x2, x3, t: np.cos(2 * np.pi * x2) * x3 * (1 + t),
+        F_f=(lambda x1, x2, x3, t: np.cos(2 * np.pi * x2) * (1 + x3),
+             None, None))
+    cfg = replace(make_config(), sources=sources)
+    traj = run(cfg, InitialData())
+    s0 = traj.stacked.levels(0)
+    loads = [f if i in kept else None for i, f in enumerate(
+        en._sample_levels(sources, s0, traj.times[1:]))]
+    factored = []
+    dgbtrf = bsqs.energy.dgbtrf
+
+    def counted(*args, **kwargs):
+        factored.append(1)
+        return dgbtrf(*args, **kwargs)
+
+    monkeypatch.setattr(bsqs.energy, "dgbtrf", counted)
+    assert en._dual_source_quadrature(s0, cfg.params, loads, cfg.disc.dt) > 0
+    assert len(factored) == 1
+
+
 def null_space_dual_quadrature(s0, p, sampled, dt):
     """The a-priori source bound's quadrature as it was first formulated:
     per distinct |k|^2 a dense Gram matrix of the Darcy form and, for F_f,
@@ -528,7 +612,9 @@ def null_space_dual_quadrature(s0, p, sampled, dt):
     S_loads, Ff_loads = [], []
     for Fb, S, Ff in sampled:
         if Fb is not None:
-            total += dt * lateral_l2_norm_sq(Fb, bm["M"])
+            quad = np.einsum("kjcn,kjcn->kj", Fb.data.conj(),
+                             Fb.data @ bm["M"]).real
+            total += dt * float(np.sum(mode_weights(n1, n2)[:, None] * quad))
         if S is not None:
             S_loads.append(S.data @ bm["Mp"])
         if Ff is not None:
@@ -586,12 +672,16 @@ def test_dual_source_bound_matches_null_space_formulation(n1, n2):
     s0, dt = states[0], cfg.disc.dt
     sampled = [sample_sources(cfg.sources, n1, n2, s0.u.mesh, s0.v.mesh, s.t)
                for s in states[1:]]
+    # the same samples, level-stacked as the audit passes them
+    stacked = [replace(fields[0], data=np.stack([f.data for f in fields]))
+               for fields in zip(*sampled)]
     for kept in ((0, 1, 2), (1,), (2,)):
         only = [tuple(f if i in kept else None for i, f in enumerate(fs))
                 for fs in sampled]
         want = null_space_dual_quadrature(s0, cfg.params, only, dt)
         assert want > 0.0
-        assert en._dual_source_quadrature(s0, cfg.params, only, dt) == \
+        loads = [f if i in kept else None for i, f in enumerate(stacked)]
+        assert en._dual_source_quadrature(s0, cfg.params, loads, dt) == \
             pytest.approx(want, rel=1e-12, abs=0.0)
 
 

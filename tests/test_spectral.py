@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsqs import energy as en
 from bsqs.errors import DimensionMismatch
 from bsqs.fem1d import VerticalMesh, mass
 from bsqs.spectral import (ModeIndex, SpectralField, forward_transform,
                            interface_trace, inverse_transform, lateral_grid,
-                           lateral_l2_norm_sq, mode_table, mode_weights,
-                           parseval_weights_grid, roundoff_floor,
+                           mode_table, mode_weights, roundoff_floor,
                            sample_function, signed_k2, wavenumber, zero_field)
 
 MESH = VerticalMesh("biot", 2)
@@ -43,7 +43,6 @@ def test_mode_weights():
     w = mode_weights(8, 8)
     assert w[0] == 1.0 and w[-1] == 1.0
     assert np.all(w[1:-1] == 2.0)
-    assert parseval_weights_grid(8, 8).shape == (5, 1)
 
 
 def test_round_trip_exact(rng):
@@ -177,7 +176,7 @@ def test_parseval_matches_direct_quadrature(rng):
     samples = random_samples(rng)
     fld = forward_transform(samples, MESH, 2)
     gram = mass(MESH, 2)
-    spectral = lateral_l2_norm_sq(fld, gram)
+    spectral = en.l2_norm_sq(fld)
     direct = np.einsum("ijcn,nm,ijcm->", samples, gram, samples) / (4 * 4)
     assert spectral == pytest.approx(direct, rel=1e-12)
 
@@ -224,7 +223,7 @@ def test_property_parseval(seed):
     fld = forward_transform(samples, MESH, 1)
     gram = mass(MESH, 1)
     direct = np.einsum("ijcn,nm,ijcm->", samples, gram, samples) / (4 * 8)
-    assert lateral_l2_norm_sq(fld, gram) == pytest.approx(direct, rel=1e-10)
+    assert en.l2_norm_sq(fld) == pytest.approx(direct, rel=1e-10)
 
 
 @settings(max_examples=25, deadline=None)
