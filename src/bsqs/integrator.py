@@ -16,7 +16,7 @@ from .config import RunConfig
 from .energy import l2_norm
 from .errors import (GridMismatch, IncompatibleData, NotDivergenceFree,
                      Violation)
-from .fem1d import VerticalMesh, mass, mixed_div, mixed_mass
+from .fem1d import VerticalMesh, mass
 from .mode_assembly import (ModeOperator, StepCoefficients, build_step_rhs,
                             divergence_modes, mode_symbols, wave_frames)
 from .spectral import (SpectralField, forward_transform, mode_table,
@@ -149,8 +149,7 @@ def _by_mode(fld: SpectralField | None):
 def _divergence_residual(v: SpectralField) -> float:
     """Max per-mode weak divergence residual of a fluid velocity field."""
     kap1, kap2 = mode_symbols(mode_table(*v.lateral_shape))
-    r = divergence_modes(kap1, kap2, _by_mode(v), mixed_mass(v.mesh),
-                         mixed_div(v.mesh))
+    r = divergence_modes(kap1, kap2, _by_mode(v), v.mesh)
     return float(np.abs(r).max())
 
 
@@ -343,7 +342,7 @@ def initialize(cfg: RunConfig, data: InitialData,
     pidx = np.flatnonzero(mb.free_mask(1))
     kap1, kap2 = mode_symbols(mode_table(d.n1, d.n2))
     load = _by_mode(d0)[:, 0] @ Mp.T - p.alpha * divergence_modes(
-        kap1, kap2, _by_mode(s.u), mixed_mass(mb), mixed_div(mb))
+        kap1, kap2, _by_mode(s.u), mb)
     prof = np.zeros_like(load)
     prof[:, pidx] = np.linalg.solve(Mp[np.ix_(pidx, pidx)], load[:, pidx].T).T
     resid = SpectralField(mb, 1, prof.reshape(d0.data.shape))

@@ -518,12 +518,14 @@ def build_step_matrix(mode, coeffs: StepCoefficients
         (weights @ coeffs.values, coeffs.indices, coeffs.indptr), shape=(n, n))
 
 
-def divergence_modes(kap1, kap2, U, Mm, Cm):
-    """divergence_split at each mode's symbols applied to P2 vector profiles
-    of many modes at once: U (modes, 3, n) with symbols kap1, kap2 (modes,)
-    -> (div u, q) rows (modes, nq)."""
-    return (1j * kap1[:, None] * (U[:, 0] @ Mm.T)
-            + 1j * kap2[:, None] * (U[:, 1] @ Mm.T) + U[:, 2] @ Cm.T)
+def divergence_modes(kap1, kap2, U, mesh: VerticalMesh):
+    """divergence_split(mesh) at each mode's symbols applied to P2 vector
+    profiles of many modes at once: U (modes, 3, n) with symbols kap1, kap2
+    (modes,) -> (div u, q) rows (modes, nq)."""
+    weights = monomial_weights(kap1, kap2)
+    X = U.reshape(len(U), -1).T
+    return sum(weights[:, m, None] * (A @ X).T
+               for m, A in enumerate(divergence_split(mesh)) if A.nnz)
 
 
 def mode_symbols(modes):

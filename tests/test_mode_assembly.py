@@ -17,7 +17,8 @@ from bsqs.mode_assembly import (Layout, ModeOperator, StepCoefficients,
                                 assemble_generator, build_step_matrix,
                                 build_step_rhs, darcy_split,
                                 dense_real_space_oracle, dense_split,
-                                divergence_split, elastic_blocks,
+                                divergence_modes, divergence_split,
+                                elastic_blocks,
                                 elastic_split, mode_symbols,
                                 monomial_weights, _mats)
 from bsqs.spectral import (ModeIndex, forward_transform, inverse_transform,
@@ -130,6 +131,21 @@ def test_divergence_blocks_pair_constant_divergence():
     kb = form_at(split, 3.0, -2.0)
     assert np.allclose(kb[:, :nn], 3j * m["Mm"])
     assert np.allclose(kb[:, nn:2 * nn], -2j * m["Mm"])
+
+
+def test_divergence_modes_is_the_split_at_each_modes_symbols(rng):
+    """divergence_modes evaluates divergence_split at every mode's own
+    symbols: the lateral components pair with i kappa times the mixed mass
+    matrix, the vertical one with the mixed divergence matrix."""
+    m = _mats(MB)
+    kap1, kap2 = mode_symbols(mode_table(6, 4))
+    U = (rng.standard_normal((kap1.size, 3, MB.n_nodes(2)))
+         + 1j * rng.standard_normal((kap1.size, 3, MB.n_nodes(2))))
+    want = (1j * kap1[:, None] * (U[:, 0] @ m["Mm"].T)
+            + 1j * kap2[:, None] * (U[:, 1] @ m["Mm"].T) + U[:, 2] @ m["Cm"].T)
+    got = divergence_modes(kap1, kap2, U, MB)
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
 
 def test_layout_pack_unpack_round_trip(rng):
