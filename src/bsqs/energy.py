@@ -10,6 +10,12 @@ per level, which does not depend on the other levels evaluated with it.
 energy() and dissipation_increment() also hand back the terms they sum, and
 the balance audit reads its breakdown from those, so it evaluates each norm
 once per level.
+
+The audit's source pairings go through the same kernel (_frame_form) with
+two fields and the mass Gram matrix, which is built from the step's own
+mass entries.  Its a-priori bound factors one band matrix per form and per
+distinct |k|^2 that a source load reaches; the other |k|^2 add exactly zero
+and are skipped.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fem1d import VerticalMesh, evaluate, evaluate_derivative
+from .fem1d import evaluate, evaluate_derivative
 from .spectral import SpectralField, interface_trace, mode_table, wavenumber
 
 
