@@ -1,21 +1,17 @@
 """Discrete energies, dissipation increments, balance audits, interface
 residuals, and the generator dissipativity certificate.
 
-All norms are Parseval mode sums: a weighted sum over stored modes of
-profile^H * (vertical quadratic form) * profile, with weight 2 for modes whose
-conjugate partner is not stored.  Each mode's form is evaluated in the frame
-of its wave vector, where it is real (mode_assembly.frame_split).  They take
+All norms and the audit's source pairings are Parseval mode sums, by one
+kernel (_frame_form): a weighted sum over stored modes of profile^H *
+(vertical form) * profile, with weight 2 for modes whose conjugate partner
+is not stored.  Each mode's form is evaluated in the frame of its wave
+vector, where it is real (mode_assembly.frame_split).  They take
 fields whose data carry leading (time level) axes and then return one value
 per level, which does not depend on the other levels evaluated with it.
 energy() and dissipation_increment() also hand back the terms they sum, and
 the balance audit reads its breakdown from those, so it evaluates each norm
-once per level.
-
-The audit's source pairings go through the same kernel (_frame_form) with
-two fields and the mass Gram matrix, which is built from the step's own
-mass entries.  Its a-priori bound factors one band matrix per form and per
-distinct |k|^2 that a source load reaches; the other |k|^2 add exactly zero
-and are skipped.
+once per level.  Its a-priori bound factors one band matrix per form and
+per distinct |k|^2 that a source load reaches.
 """
 
 from __future__ import annotations
@@ -61,24 +57,21 @@ def _value(out):
 
 
 def _frame_form(a: SpectralField, b: SpectralField, mats, turn: bool):
-    """Sum over stored modes of weight * Re(z^H A(kap) y), for the profiles z
-    of a and y of b and the real form A(kap) = sum over m of kap**m *
-    mats[m] (mats: real CSR matrices on the component-major profile, the
-    frame coefficients of mode_assembly's frame_split) at each mode's frame
-    symbol kap = 2 pi |k|.  A norm passes its field as both a and b.
+    """Sum over stored modes of weight * Re(z^H A(kap) y), for the profiles
+    z of a and y of b (a norm passes one field as both) and the real form
+    A(kap) = sum over m of kap**m * mats[m] (mats: real CSR matrices on the
+    component-major profile, the frame coefficients of mode_assembly's
+    frame_split) at each mode's frame symbol kap = 2 pi |k|.
 
-    With `turn` the profiles' (first, second) components are turned into
-    the wave-vector frame, (-i u_L, u_T), after the one transpose copy of
-    each field into its (ncomp * nn, levels * live modes) profile matrix P
-    (one copy when a is b).  Then Re(z^H A y) per column is a real dot
-    product of Pa and A Pb viewed as interleaved (re, im) pairs: one real
-    product per matrix.
+    Each field is copied once, transposed, into its (ncomp * nn, levels *
+    live modes) profile matrix; with `turn` its (first, second) components
+    are then turned into the wave-vector frame, (-i u_L, u_T).  Re(z^H A y)
+    per column is a real dot product of the two matrices' interleaved
+    (re, im) views, one real product per matrix.
 
-    Only the modes that carry data in both fields are copied, turned and
-    multiplied: a mode whose profile is zero at every level of a or of b
-    adds exactly zero, so when some mode is zero P holds the live modes'
-    columns only, and their values are scattered into zeros before the
-    weighted mode sum.
+    Only the modes that carry data at some level of both fields are copied,
+    turned and multiplied: any other mode adds exactly zero, and the live
+    modes' values are scattered into zeros before the weighted mode sum.
 
     Any leading axes of the fields' data (time levels, say) are kept: the
     result has one value per level, or is a float without them.  Every step
@@ -88,8 +81,7 @@ def _frame_form(a: SpectralField, b: SpectralField, mats, turn: bool):
     lead = a.data.shape[:-4]
     kap, c, s, w = _frame_modes(*a.lateral_shape)
     ncomp, nn = a.data.shape[-2:]
-    Da = a.data.reshape(-1, kap.size, ncomp * nn)
-    Db = b.data.reshape(Da.shape)
+    Da, Db = (f.data.reshape(-1, kap.size, ncomp * nn) for f in (a, b))
     live = Da.any(axis=(0, 2))
     if b is not a:
         live &= Db.any(axis=(0, 2))
@@ -130,10 +122,9 @@ def _frame_form(a: SpectralField, b: SpectralField, mats, turn: bool):
 
 @lru_cache(maxsize=None)
 def _gram(mesh, degree: int, ncomp: int = 1):
-    """Sparse (banded) vertical mass Gram matrix of a degree-`degree` field,
-    block-diagonal over its `ncomp` components on the component-major
-    profile: the step's mass entries (mode_assembly._mass_entries) as one
-    CSR matrix."""
+    """Sparse (banded) vertical mass Gram matrix of `ncomp` degree-`degree`
+    components on their component-major profile: the step's mass entries
+    (mode_assembly._mass_entries) as a CSR matrix."""
     n = ncomp * mesh.n_nodes(degree)
     rows, cols, values = _mass_entries(mesh, degree, ncomp)
     return scipy.sparse.csr_matrix((values, (rows, cols)), shape=(n, n))
@@ -143,8 +134,7 @@ def elastic_norm_sq(u: SpectralField, p: PhysicalParams):
     """a_E(u, u) = 2 mu ||D(u)||^2 + lam ||div u||^2 over all modes at once,
     from the frame matrices of the form's split (per level of any leading
     axes)."""
-    return _frame_form(u, u,
-                       frame_split(elastic_split, u.mesh, p.mu, p.lam),
+    return _frame_form(u, u, frame_split(elastic_split, u.mesh, p.mu, p.lam),
                        turn=True)
 
 
@@ -162,8 +152,7 @@ def grad_norm_sq(p_b: SpectralField):
 
 
 def _mass_pairing(a: SpectralField, b: SpectralField):
-    """Re (a, b)_{L2} by modes, per level: the frame kernel with the mass
-    Gram matrix, which needs no turn."""
+    """Re (a, b)_{L2} per level, from the mass Gram matrix."""
     return _frame_form(a, b, (_gram(a.mesh, a.degree, a.ncomp),), turn=False)
 
 
@@ -264,21 +253,18 @@ def audit(traj, p: PhysicalParams, sources: SourceSpec = None) -> EnergyReport:
     dissipation inequality e_n + d_n <= e_0 up to roundoff tolerance.
 
     The norms and the source work are evaluated over the trajectory's blocks
-    of levels (Trajectory.blocks), each once per level, by energy(),
-    dissipation_increment() and _source_work(), and the breakdown is the
-    terms they sum.  The sums and the balance check then run level by
-    level, so a violation is raised at the first level that breaks the
-    inequality."""
+    (Trajectory.blocks), each once per level, by energy(),
+    dissipation_increment() and _source_work(); the breakdown is the terms
+    they sum.  The sums and the balance check then run level by level, so a
+    violation is raised at the first level that breaks the inequality."""
     stacked = traj.stacked
     times = traj.times
     dt = times[1] - times[0] if len(times) > 1 else 0.0
     s0 = stacked.levels(0)
     source_free = sources is None or sources.is_zero()
-    # each step's sources at its implicit level, one level per step
     loads = None if source_free else _sample_levels(sources, s0, times[1:])
     # level 0 ends no increment: its Darcy and viscous terms are evaluated
-    # from its own state, and its Kelvin-Voigt, slip and source terms are
-    # zero
+    # from its own state, and its Kelvin-Voigt, slip and source terms zero
     terms = {k: [] for k in _BREAKDOWN_KEYS}
     terms.update(darcy=[p.k_perm * grad_norm_sq(s0.p_b)],
                  viscous=[viscous_norm_sq(s0.v, p.nu)],
@@ -289,8 +275,7 @@ def audit(traj, p: PhysicalParams, sources: SourceSpec = None) -> EnergyReport:
         e += energy(blk.levels(own), p, level_terms).tolist()
         if len(blk.t) > 1:
             prev, nxt = blk.levels(_PREV), blk.levels(_NEXT)
-            # d_inc holds the increments up to the block's first level, so
-            # the block's increments take the next len(blk.t) - 1 loads
+            # the loads after those of the increments already in d_inc
             steps = slice(len(d_inc) - 1, len(d_inc) + len(blk.t) - 2)
             d_inc += dissipation_increment(prev, nxt, p, dt,
                                            level_terms).tolist()
@@ -308,7 +293,7 @@ def audit(traj, p: PhysicalParams, sources: SourceSpec = None) -> EnergyReport:
     tol = 1e-10 * max(e[0], 1.0)
     for n in range(len(times)):
         d_cum += d_inc[n]
-        if n and not source_free:
+        if not source_free:
             work += dt * work_inc[n]
         r_n = e[n] + d_cum - e[0] - work
         if source_free and r_n > tol:
@@ -323,20 +308,19 @@ def audit(traj, p: PhysicalParams, sources: SourceSpec = None) -> EnergyReport:
 
 
 def _sample_levels(sources, s0, times):
-    """The sources sampled at each of `times` (sample_sources on the grid
-    and meshes of the state s0), written straight into level-stacked
-    fields: (F_b, S, F_f) with the levels on a leading axis, None for an
-    absent source."""
+    """(F_b, S, F_f) sampled at each of `times` on the grid of the state s0,
+    written straight into fields with the levels on a leading axis (None
+    for an absent source)."""
     n1, n2 = s0.u.lateral_shape
-    out = (None, None, None)
+    out = [None] * 3
     for n, t in enumerate(times):
         fields = sample_sources(sources, n1, n2, s0.u.mesh, s0.v.mesh, t)
-        if n == 0:
-            out = tuple(None if f is None else replace(f, data=np.empty(
-                (len(times),) + f.data.shape, f.data.dtype)) for f in fields)
-        for levels, f in zip(out, fields):
+        for i, f in enumerate(fields):
             if f is not None:
-                levels.data[n] = f.data
+                if out[i] is None:
+                    out[i] = replace(f, data=np.empty((len(times),)
+                                                      + f.data.shape, complex))
+                out[i].data[n] = f.data
     return out
 
 
@@ -344,16 +328,10 @@ def _source_work(prev, s, loads, dt):
     """(F_b, Dt u) + (S, p^{n+1}) + (F_f, v^{n+1}) at the implicit levels of
     the increments (prev, s), one value per level, for the level-stacked
     sources (Fb, S, Ff) sampled at those levels."""
-    Fb, S, Ff = loads
-    total = 0.0
-    if Fb is not None:
-        du = replace(s.u, data=(s.u.data - prev.u.data) / dt)
-        total = total + _mass_pairing(du, Fb)
-    if S is not None:
-        total = total + _mass_pairing(s.p_b, S)
-    if Ff is not None:
-        total = total + _mass_pairing(s.v, Ff)
-    return total
+    du = None if loads[0] is None else replace(
+        s.u, data=(s.u.data - prev.u.data) / dt)
+    return sum(_mass_pairing(x, f) for x, f in zip((du, s.p_b, s.v), loads)
+               if f is not None)
 
 
 def _band_form(entries, position, n):
@@ -396,11 +374,10 @@ def _dual_source_quadrature(s0, p, loads, dt):
     reaches is factored once as one real band matrix, at the frame symbols
     (2 pi |k|, 0), in the node-interleaved order of the step's free DOFs,
     and applied to the frame-turned loads of all its modes and steps at
-    once.  A source's load is its profile times the Gram matrix of
-    l2_norm_sq."""
+    once."""
     n1, n2 = s0.u.lateral_shape
     mb, mf = s0.u.mesh, s0.v.mesh
-    w = np.repeat(mode_weights(n1, n2), n2)
+    kap, _, _, w = _frame_modes(n1, n2)
     modes = mode_table(n1, n2)
     first, shell, c, s = wave_frames(modes)
     Fb, S, Ff = loads
@@ -409,8 +386,8 @@ def _dual_source_quadrature(s0, p, loads, dt):
         total += dt * float(np.sum(l2_norm_sq(Fb)))
 
     def gram_loads(fld):
-        """G z of each mode and step of a level-stacked source z, as
-        (modes, ncomp * nn, steps)."""
+        """G z of each mode and step of a level-stacked source z, for the
+        Gram G of l2_norm_sq, as (modes, ncomp * nn, steps)."""
         G = _gram(fld.mesh, fld.degree, fld.ncomp)
         Z = fld.data.reshape(-1, G.shape[0])
         return (G @ Z.T).reshape(G.shape[0], -1, len(w)).transpose(2, 0, 1)
@@ -419,9 +396,9 @@ def _dual_source_quadrature(s0, p, loads, dt):
         """dt * sum over modes and steps of w * Re(l^H A(kap)^-1 l), for the
         loads l (modes, n, steps) in band order and the band form (_band_form)
         of the real frame matrix A(kap): factored once per distinct |k|^2
-        with a nonzero load (dgbtrf), with the loads of all its modes and
-        steps solved at once as (re, im) columns (dgbtrs).  A |k|^2 whose
-        loads are all zero adds exactly zero and is skipped."""
+        with a nonzero load (dgbtrf; the others add exactly zero), with the
+        loads of all its modes and steps solved at once as (re, im) columns
+        (dgbtrs)."""
         coeffs, band_rows, cols, kl, ku = form
         n = loads.shape[1]
         out = 0.0
@@ -429,9 +406,8 @@ def _dual_source_quadrature(s0, p, loads, dt):
             members = np.flatnonzero(shell == g)
             if not loads[members].any():
                 continue
-            kap = TWO_PI * np.hypot(*modes[idx])
             ab = np.zeros((2 * kl + ku + 1, n), order="F")
-            ab[band_rows, cols] = kap ** np.arange(len(coeffs)) @ coeffs
+            ab[band_rows, cols] = kap[idx] ** np.arange(len(coeffs)) @ coeffs
             lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
             if info != 0:
                 raise SingularSystem(modes[idx],

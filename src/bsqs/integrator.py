@@ -146,13 +146,6 @@ def _by_mode(fld: SpectralField | None):
     return None if fld is None else fld.data.reshape(-1, *fld.data.shape[2:])
 
 
-def _divergence_residual(v: SpectralField) -> float:
-    """Max per-mode weak divergence residual of a fluid velocity field."""
-    kap1, kap2 = mode_symbols(mode_table(*v.lateral_shape))
-    r = divergence_modes(kap1, kap2, _by_mode(v), v.mesh)
-    return float(np.abs(r).max())
-
-
 class ShellOperators:
     """The band-factored step operators of a Simulator, indexed by stored
     mode: one ModeOperator per distinct |k|^2, shared by the modes that have
@@ -316,6 +309,7 @@ def initialize(cfg: RunConfig, data: InitialData,
     d = cfg.disc
     s = _zero_state(cfg)
     mb, mf = s.u.mesh, s.v.mesh
+    kap1, kap2 = mode_symbols(mode_table(d.n1, d.n2))
 
     if data.u0 is not None:
         _check_clamped(data.u0, mb, 2, "u0")
@@ -326,7 +320,8 @@ def initialize(cfg: RunConfig, data: InitialData,
     if p.rho_f > 0 and data.v0 is not None:
         _check_clamped(data.v0, mf, 2, "v0")
         v = forward_transform(data.v0, mf, 2)
-        res = _divergence_residual(v)
+        res = float(np.abs(divergence_modes(kap1, kap2, _by_mode(v),
+                                            mf)).max())
         scale = 1.0 + float(np.abs(v.data).max())
         if res > 1e-8 * scale:
             raise NotDivergenceFree(f"v0 weak divergence residual {res:.3e}")
@@ -340,7 +335,6 @@ def initialize(cfg: RunConfig, data: InitialData,
     # at once: one solve with the pressure mass matrix for every mode's load
     Mp = mass(mb, 1)
     pidx = np.flatnonzero(mb.free_mask(1))
-    kap1, kap2 = mode_symbols(mode_table(d.n1, d.n2))
     load = _by_mode(d0)[:, 0] @ Mp.T - p.alpha * divergence_modes(
         kap1, kap2, _by_mode(s.u), mb)
     prof = np.zeros_like(load)

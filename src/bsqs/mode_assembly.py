@@ -522,10 +522,9 @@ def divergence_modes(kap1, kap2, U, mesh: VerticalMesh):
     """divergence_split(mesh) at each mode's symbols applied to P2 vector
     profiles of many modes at once: U (modes, 3, n) with symbols kap1, kap2
     (modes,) -> (div u, q) rows (modes, nq)."""
-    weights = monomial_weights(kap1, kap2)
     X = U.reshape(len(U), -1).T
-    return sum(weights[:, m, None] * (A @ X).T
-               for m, A in enumerate(divergence_split(mesh)) if A.nnz)
+    return sum(w[:, None] * (A @ X).T for w, A in zip(
+        monomial_weights(kap1, kap2).T, divergence_split(mesh)) if A.nnz)
 
 
 def mode_symbols(modes):
