@@ -404,7 +404,8 @@ def _dual_source_quadrature(s0, p, loads, dt):
         out = 0.0
         for g, idx in enumerate(first):
             members = np.flatnonzero(shell == g)
-            if not loads[members].any():
+            shell_loads = loads[members]
+            if not shell_loads.any():
                 continue
             ab = np.zeros((2 * kl + ku + 1, n), order="F")
             ab[band_rows, cols] = kap[idx] ** np.arange(len(coeffs)) @ coeffs
@@ -413,7 +414,7 @@ def _dual_source_quadrature(s0, p, loads, dt):
                 raise SingularSystem(modes[idx],
                                      f"band LU failed (dgbtrf info {info})")
             rhs = np.ascontiguousarray(
-                np.moveaxis(loads[members], 0, 1).reshape(n, -1)).view(float)
+                np.moveaxis(shell_loads, 0, 1).reshape(n, -1)).view(float)
             x, _ = dgbtrs(lu, kl, ku, rhs, piv)
             per = np.einsum("ij,ij->j", rhs, x).reshape(members.size, -1)
             out += w[members] @ per.sum(axis=1)
