@@ -286,7 +286,8 @@ def test_frame_kernel_multiplies_only_the_live_modes(rng):
     assert value == pytest.approx(sum(parts), rel=1e-13, abs=0.0)
     columns.clear()
     zero = SpectralField(mb, 2, np.zeros_like(u.data))
-    assert en._frame_form(zero, zero, mats, turn=True).tolist() == [0.0] * levels
+    assert en._frame_form(zero, zero, mats,
+                          turn=True).tolist() == [0.0] * levels
     assert columns == []
 
 
@@ -563,8 +564,9 @@ def test_mass_pairing_matches_dense_per_level_sum(rng):
         one = en._mass_pairing(replace(a, data=a.data[n]),
                                replace(b, data=b.data[n]))
         assert one == value[n]
+    # a on modes 0-5 only, b on modes 6-9 only
     fa[:, 6:] = 0.0
-    fa[:, :6] = fb[:, :6]
+    fa[:, :6] = 1.0
     fb[:, :6] = 0.0
     assert en._mass_pairing(a, b).tolist() == [0.0] * levels
 
@@ -575,7 +577,6 @@ def test_dual_bound_factors_only_the_shells_a_load_reaches(monkeypatch,
     """S = cos 2 pi x2 and F_f = cos 2 pi x2 e_1 load the modes (0, +-1)
     only: the dual source bound factors one band matrix per form, for the
     one |k|^2 = 1 of the six on the 4 x 4 grid."""
-    import bsqs.energy
     sources = SourceSpec(
         S=lambda x1, x2, x3, t: np.cos(2 * np.pi * x2) * x3 * (1 + t),
         F_f=(lambda x1, x2, x3, t: np.cos(2 * np.pi * x2) * (1 + x3),
@@ -586,13 +587,13 @@ def test_dual_bound_factors_only_the_shells_a_load_reaches(monkeypatch,
     loads = [f if i in kept else None for i, f in enumerate(
         en._sample_levels(sources, s0, traj.times[1:]))]
     factored = []
-    dgbtrf = bsqs.energy.dgbtrf
+    dgbtrf = en.dgbtrf
 
     def counted(*args, **kwargs):
         factored.append(1)
         return dgbtrf(*args, **kwargs)
 
-    monkeypatch.setattr(bsqs.energy, "dgbtrf", counted)
+    monkeypatch.setattr(en, "dgbtrf", counted)
     assert en._dual_source_quadrature(s0, cfg.params, loads, cfg.disc.dt) > 0
     assert len(factored) == 1
 
