@@ -275,7 +275,7 @@ def audit(traj, p: PhysicalParams, sources: SourceSpec = None) -> EnergyReport:
         e += energy(blk.levels(own), p, level_terms).tolist()
         if len(blk.t) > 1:
             prev, nxt = blk.levels(_PREV), blk.levels(_NEXT)
-            # the loads after those of the increments already in d_inc
+            # the next len(blk.t) - 1 loads, after the len(d_inc) - 1 summed
             steps = slice(len(d_inc) - 1, len(d_inc) + len(blk.t) - 2)
             d_inc += dissipation_increment(prev, nxt, p, dt,
                                            level_terms).tolist()
