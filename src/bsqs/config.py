@@ -90,10 +90,6 @@ class Discretization:
         return int(round(steps))
 
 
-def _zero(x1, x2, x3, t=0.0):
-    return np.zeros(np.broadcast_shapes(np.shape(x1), np.shape(x2), np.shape(x3)))
-
-
 @dataclass(frozen=True)
 class SourceSpec:
     """Volumetric sources: F_b on the Biot box (3 components), S on the Biot
@@ -107,10 +103,6 @@ class SourceSpec:
     def is_zero(self):
         return all(c is None for c in self.F_b) and self.S is None \
             and all(c is None for c in self.F_f)
-
-    @staticmethod
-    def component(c):
-        return _zero if c is None else c
 
 
 ZERO_SOURCES = SourceSpec()

@@ -216,14 +216,22 @@ class Simulator:
         return sample_sources(self.cfg.sources, d.n1, d.n2, self.mb, self.mf, t)
 
     def step(self, s: State, mode_sources=None, mode_loads=None,
-             mode_defects=None) -> State:
+             mode_defects=None, out: State | None = None) -> State:
         """One implicit step.  mode_sources: (Fb, S, Ff) SpectralFields or
         None; mode_loads: (Lb, LS, Lf) pre-integrated load SpectralFields.
         mode_defects: dict of per-mode interface defect arrays with keys
-        g1 (n1h, n2), g2 (2, n1h, n2), g3 (3, n1h, n2), g4 (n1h, n2)."""
+        g1 (n1h, n2), g2 (2, n1h, n2), g3 (3, n1h, n2), g4 (n1h, n2).
+
+        The live modes' u, p_b, v, p_f (and w when rho_b > 0) are written
+        into `out`, whose other modes must hold zeros (they are never
+        written), and `out` is returned with t = s.t + dt.  By default `out`
+        is a fresh zero State."""
         cfg = self.cfg
         d = cfg.disc
         n_modes = len(self.modes)
+        if out is None:
+            out = _zero_state(cfg)
+        out.t = s.t + d.dt
 
         def scalar(fld):
             return None if fld is None else _by_mode(fld)[:, 0]
@@ -244,12 +252,9 @@ class Simulator:
         live = np.flatnonzero(_rows_with_data(*prior, *sources, *loads,
                                               *(defects or ())))
         if live.size == 0:
-            return _zero_state(cfg, s.t + d.dt)
-        every = live.size == n_modes
+            return out
 
         def pick(arrays):
-            if every:
-                return arrays
             return tuple(None if a is None else a[live] for a in arrays)
 
         rhs = build_step_rhs(
@@ -277,24 +282,16 @@ class Simulator:
         if turned.size:
             x[turned] = lay.rotate(x[turned], c, -sn)
 
-        lateral = s.u.data.shape[:2]
-
-        def field_of(mesh, degree, data):
-            if not every:
-                full = np.zeros((n_modes,) + data.shape[1:], dtype=data.dtype)
-                full[live] = data
-                data = full
-            return SpectralField(mesh, degree, data.reshape(
-                lateral + (-1, data.shape[-1])))
-
+        # advanced indexing writes in place whatever the strides of `out`
+        k1i, j = np.divmod(live, d.n2)
         u, p, v, pf = lay.unpack(x)
-        w_next = None
+        out.u.data[k1i, j] = u
+        out.p_b.data[k1i, j, 0] = p
+        out.v.data[k1i, j] = v
+        out.p_f.data[k1i, j, 0] = pf
         if cfg.params.rho_b > 0:
-            u_prev = prior[0] if every else prior[0][live]
-            w_next = field_of(self.mb, 2, (u - u_prev) / d.dt)
-        return State(s.t + d.dt, field_of(self.mb, 2, u), w_next,
-                     field_of(self.mb, 1, p), field_of(self.mf, 2, v),
-                     field_of(self.mf, 1, pf))
+            out.w.data[k1i, j] = (u - prior[0][live]) / d.dt
+        return out
 
 
 def initialize(cfg: RunConfig, data: InitialData,
@@ -365,9 +362,9 @@ def initialize(cfg: RunConfig, data: InitialData,
 
 
 def run(cfg: RunConfig, data: InitialData) -> Trajectory:
-    """Full implicit-Euler trajectory: the states only, each step's fields
-    written into its level of the stacked trajectory; energy.audit evaluates
-    the diagnostics from them.  Each step's sources are sampled at the time
+    """Full implicit-Euler trajectory: the states only, each step writing
+    its live modes into its level of the zeroed stacked trajectory;
+    energy.audit evaluates the diagnostics from them.  Each step's sources are sampled at the time
     the step stamps on its level (s.t + dt), where the audit samples them."""
     d = cfg.disc
     ratio = d.t_end / d.dt
@@ -376,17 +373,17 @@ def run(cfg: RunConfig, data: InitialData) -> Trajectory:
     sim = Simulator(cfg)
     s = initialize(cfg, data, sim)
     shape = (d.n_steps + 1,)
-    stacked = State(np.empty(shape), *(
+    stacked = State(np.zeros(shape), *(
         None if f is None else replace(
-            f, data=np.empty(shape + f.data.shape, f.data.dtype))
+            f, data=np.zeros(shape + f.data.shape, f.data.dtype))
         for f in s.fields()))
-    for n in range(d.n_steps + 1):
-        if n:
-            s = sim.step(s, mode_sources=sim._sample_sources(s.t + d.dt))
+    for level, f in zip(stacked.fields(), s.fields()):
+        if f is not None:
+            level.data[0] = f.data
+    for n in range(1, d.n_steps + 1):
+        s = sim.step(s, mode_sources=sim._sample_sources(s.t + d.dt),
+                     out=stacked.levels(n))
         stacked.t[n] = s.t
-        for levels, f in zip(stacked.fields(), s.fields()):
-            if f is not None:
-                levels.data[n] = f.data
     return Trajectory(stacked)
 
 

@@ -80,14 +80,6 @@ class SpectralField:
     def copy(self):
         return SpectralField(self.mesh, self.degree, self.data.copy())
 
-    def zeros_like(self):
-        return SpectralField(self.mesh, self.degree, np.zeros_like(self.data))
-
-    def mode(self, k1, j):
-        """Profile coefficients of stored mode (k1 index, storage row j):
-        shape (ncomp, n_nodes)."""
-        return self.data[k1, j]
-
 
 def zero_field(mesh: VerticalMesh, degree: int, n1: int, n2: int, ncomp: int = 1):
     nn = mesh.n_nodes(degree)
@@ -167,7 +159,7 @@ def lateral_grid(n1: int, n2: int):
     return np.arange(n1) / n1, np.arange(n2) / n2
 
 
-def sample_function(fn, n1, n2, mesh, degree, t=0.0, ncomp=None):
+def sample_function(fn, n1, n2, mesh, degree, t=0.0):
     """Sample callables on the lateral grid x the field's vertical nodes.
 
     fn is a single callable (scalar field) or a sequence of callables per

@@ -339,6 +339,64 @@ def test_live_mode_step_is_bitwise_the_full_spectrum_step(monkeypatch,
                               getattr(full, name).data)
 
 
+def _readme_state():
+    cfg = parse_config(README_RUN)
+    return cfg, initialize(cfg, InitialData.from_plan(cfg))
+
+
+def _every_mode_live_state():
+    cfg = make_config()
+    return cfg, every_mode_live(_zero_state(cfg))
+
+
+def _sentinel_state(cfg, strided):
+    """A State shaped like _zero_state(cfg) whose every entry holds 7 - 3j;
+    strided takes each field as the last n2 rows of an array with n2 + 1 k2
+    rows, so no field is contiguous and its (k1, k2) axes cannot merge into
+    one mode axis without a copy."""
+    s = _zero_state(cfg)
+    for fld in s.fields():
+        if fld is None:
+            continue
+        shape = fld.data.shape
+        if strided:
+            wide = (shape[0], shape[1] + 1) + shape[2:]
+            fld.data = np.full(wide, 7 - 3j)[:, 1:]
+            assert not fld.data.flags.c_contiguous
+        else:
+            fld.data = np.full(shape, 7 - 3j)
+    return s
+
+
+@pytest.mark.parametrize("strided", [False, True])
+@pytest.mark.parametrize("case, n_live", [(_readme_state, 1),
+                                          (_every_mode_live_state, 12)])
+def test_step_writes_only_the_live_modes_into_out(case, n_live, strided):
+    """The step writes its live modes into `out` and returns it: they hold
+    bitwise what a step into fresh zeros gives, and every other mode keeps
+    whatever `out` held, whether `out` is contiguous or strided.  The README
+    data have one live mode, (1, 0); every_mode_live has all 12 of the 4x4
+    grid's."""
+    cfg, s = case()
+    sim = Simulator(cfg)
+    live = np.zeros(len(sim.modes), dtype=bool)
+    for fld in s.fields():
+        if fld is not None:
+            live |= _by_mode(fld).reshape(len(live), -1).any(axis=1)
+    assert live.sum() == n_live
+    ref = sim.step(s)
+    out = _sentinel_state(cfg, strided)
+    got = sim.step(s, out=out)
+    assert got is out and got.t == ref.t == s.t + cfg.disc.dt
+    for r, g in zip(ref.fields(), got.fields()):
+        if r is None:
+            assert g is None
+            continue
+        rows = g.data.reshape((len(live),) + g.data.shape[2:])
+        assert np.array_equal(rows[live], _by_mode(r)[live])
+        assert np.all(rows[~live] == 7 - 3j)
+
+
 def _fingerprint(state):
     """Norm and one fixed complex projection of each field's coefficients."""
     out = {}

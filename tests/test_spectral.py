@@ -202,8 +202,6 @@ def test_zero_field_and_lateral_shape():
     fld = zero_field(MESH, 1, 6, 4, 1)
     assert fld.data.shape == (4, 4, 1, MESH.n_nodes(1))
     assert fld.lateral_shape == (6, 4)
-    assert fld.zeros_like().data.shape == fld.data.shape
-    assert fld.mode(0, 0).shape == (1, MESH.n_nodes(1))
 
 
 @settings(max_examples=25, deadline=None)
