@@ -53,7 +53,7 @@ def _cmd_run(args):
     cfg = _load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
     traj = run(cfg, InitialData.from_plan(cfg))
-    rep = en.audit(traj, cfg.params, cfg.sources)
+    rep = en.audit(traj, cfg.params)
     snapshots.write_timeseries(snapshots.energy_report_columns(rep),
                                os.path.join(args.out, "energy.csv"))
     if args.command == "audit":

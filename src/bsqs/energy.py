@@ -10,8 +10,9 @@ fields whose data carry leading (time level) axes and then return one value
 per level, which does not depend on the other levels evaluated with it.
 energy() and dissipation_increment() also hand back the terms they sum, and
 the balance audit reads its breakdown from those, so it evaluates each norm
-once per level.  Its a-priori bound factors one band matrix per form and
-per distinct |k|^2 that a source load reaches.
+once per level.  Its source terms read the sources the run sampled
+(Trajectory.sources), and its a-priori bound factors one band matrix per
+form and per distinct |k|^2 that a source load reaches.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ import scipy.linalg
 import scipy.sparse
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .config import PhysicalParams, SourceSpec
+from .config import PhysicalParams
 from .errors import BalanceViolation, SingularSystem
 from .fem1d import evaluate_derivative
 from .mode_assembly import (Layout, _entries, _mass_entries, darcy_split,
                             divergence_split, elastic_split, frame_split,
                             wave_frames)
-from .spectral import SpectralField, mode_table, mode_weights, sample_sources
+from .spectral import SpectralField, mode_table, mode_weights
 
 TWO_PI = 2.0 * np.pi
 
@@ -247,10 +248,10 @@ _BREAKDOWN_KEYS = ("elastic", "storage", "kinetic_b", "kinetic_f",
 _PREV, _NEXT = slice(None, -1), slice(1, None)
 
 
-def audit(traj, p: PhysicalParams, sources: SourceSpec = None) -> EnergyReport:
-    """Populate the per-step balance report from the trajectory's states,
-    sampling each step's sources once.  For source-free runs asserts the
-    dissipation inequality e_n + d_n <= e_0 up to roundoff tolerance.
+def audit(traj, p: PhysicalParams) -> EnergyReport:
+    """Populate the per-step balance report from the trajectory's states
+    and sampled sources.  For source-free runs asserts the dissipation
+    inequality e_n + d_n <= e_0 up to roundoff tolerance.
 
     The norms and the source work are evaluated over the trajectory's blocks
     (Trajectory.blocks), each once per level, by energy(),
@@ -261,8 +262,7 @@ def audit(traj, p: PhysicalParams, sources: SourceSpec = None) -> EnergyReport:
     times = traj.times
     dt = times[1] - times[0] if len(times) > 1 else 0.0
     s0 = stacked.levels(0)
-    source_free = sources is None or sources.is_zero()
-    loads = None if source_free else _sample_levels(sources, s0, times[1:])
+    loads = traj.sources
     # level 0 ends no increment: its Darcy and viscous terms are evaluated
     # from its own state, and its Kelvin-Voigt, slip and source terms zero
     terms = {k: [] for k in _BREAKDOWN_KEYS}
@@ -293,35 +293,18 @@ def audit(traj, p: PhysicalParams, sources: SourceSpec = None) -> EnergyReport:
     tol = 1e-10 * max(e[0], 1.0)
     for n in range(len(times)):
         d_cum += d_inc[n]
-        if not source_free:
+        if loads is not None:
             work += dt * work_inc[n]
         r_n = e[n] + d_cum - e[0] - work
-        if source_free and r_n > tol:
+        if loads is None and r_n > tol:
             raise BalanceViolation(n, r_n)
         rep.d_cum.append(d_cum)
         rep.residual.append(r_n)
-    if not source_free:
+    if loads is not None:
         bound = e[0] + _dual_source_quadrature(s0, p, loads, dt)
         peak = max(en + dn for en, dn in zip(rep.e, rep.d_cum))
         rep.driven_constant = peak / max(bound, 1e-300)
     return rep
-
-
-def _sample_levels(sources, s0, times):
-    """(F_b, S, F_f) sampled at each of `times` on the grid of the state s0,
-    written straight into fields with the levels on a leading axis (None
-    for an absent source)."""
-    n1, n2 = s0.u.lateral_shape
-    out = [None] * 3
-    for n, t in enumerate(times):
-        fields = sample_sources(sources, n1, n2, s0.u.mesh, s0.v.mesh, t)
-        for i, f in enumerate(fields):
-            if f is not None:
-                if out[i] is None:
-                    out[i] = replace(f, data=np.empty((len(times),)
-                                                      + f.data.shape, complex))
-                out[i].data[n] = f.data
-    return out
 
 
 def _source_work(prev, s, loads, dt):

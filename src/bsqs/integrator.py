@@ -105,9 +105,12 @@ _BLOCK = 8
 @dataclass
 class Trajectory:
     """A run's states, stored once: `stacked` is one State whose fields carry
-    the time levels on a leading axis and whose t holds their times."""
+    the time levels on a leading axis and whose t holds their times;
+    `sources` the level-stacked (F_b, S, F_f) that drove levels 1..n (None
+    for an absent source), or None for a source-free run."""
 
     stacked: State
+    sources: tuple | None
 
     @property
     def states(self):
@@ -210,10 +213,6 @@ class Simulator:
         self.shell = shell.tolist()
         self.ops = ShellOperators(self.modes, first.tolist(), self.shell,
                                   self.coeffs)
-
-    def _sample_sources(self, t: float):
-        d = self.cfg.disc
-        return sample_sources(self.cfg.sources, d.n1, d.n2, self.mb, self.mf, t)
 
     def step(self, s: State, mode_sources=None, mode_loads=None,
              mode_defects=None, out: State | None = None) -> State:
@@ -352,7 +351,8 @@ def initialize(cfg: RunConfig, data: InitialData,
         # determined; harvest them from one dummy implicit solve at t = 0
         if sim is None:
             sim = Simulator(cfg)
-        probe = sim.step(s, mode_sources=sim._sample_sources(0.0))
+        probe = sim.step(s, mode_sources=sample_sources(
+            cfg.sources, d.n1, d.n2, mb, mf, 0.0))
         if p.c0 == 0:
             s.p_b = probe.p_b
         if p.rho_f == 0:
@@ -361,30 +361,49 @@ def initialize(cfg: RunConfig, data: InitialData,
     return s
 
 
-def run(cfg: RunConfig, data: InitialData) -> Trajectory:
-    """Full implicit-Euler trajectory: the states only, each step writing
-    its live modes into its level of the zeroed stacked trajectory;
-    energy.audit evaluates the diagnostics from them.  Each step's sources are sampled at the time
-    the step stamps on its level (s.t + dt), where the audit samples them."""
+def _stacked_sources(sources, s0: State, times):
+    """(F_b, S, F_f) sampled at each of `times` on the grid of the state s0,
+    written straight into level-stacked fields (None for an absent source)."""
+    n1, n2 = s0.u.lateral_shape
+    out = [None] * 3
+    for n, t in enumerate(times):
+        fields = sample_sources(sources, n1, n2, s0.u.mesh, s0.v.mesh, t)
+        for i, f in enumerate(fields):
+            if f is not None:
+                if out[i] is None:
+                    out[i] = replace(f, data=np.empty((len(times),)
+                                                      + f.data.shape, complex))
+                out[i].data[n] = f.data
+    return tuple(out)
+
+
+def run(cfg: RunConfig, data: InitialData, sources=None) -> Trajectory:
+    """Full implicit-Euler trajectory: the states, each step writing its live
+    modes into its level of the zeroed stacked trajectory, and the sources,
+    sampled once at the levels' stamps (sums of dt) after initialize, or
+    handed in from a run with the same grid, stamps and cfg.sources (a
+    sweep's reference); energy.audit evaluates the diagnostics from them."""
     d = cfg.disc
     ratio = d.t_end / d.dt
     if abs(ratio - round(ratio)) > 1e-9:
         raise Violation("t_end", d.t_end, "t_end/dt must be an integer")
     sim = Simulator(cfg)
     s = initialize(cfg, data, sim)
-    shape = (d.n_steps + 1,)
-    stacked = State(np.zeros(shape), *(
+    times = np.cumsum(np.r_[0.0, np.full(d.n_steps, d.dt)])
+    stacked = State(times, *(
         None if f is None else replace(
-            f, data=np.zeros(shape + f.data.shape, f.data.dtype))
+            f, data=np.zeros(times.shape + f.data.shape, f.data.dtype))
         for f in s.fields()))
     for level, f in zip(stacked.fields(), s.fields()):
         if f is not None:
             level.data[0] = f.data
+    if sources is None and not cfg.sources.is_zero():
+        sources = _stacked_sources(cfg.sources, s, times[1:].tolist())
     for n in range(1, d.n_steps + 1):
-        s = sim.step(s, mode_sources=sim._sample_sources(s.t + d.dt),
-                     out=stacked.levels(n))
-        stacked.t[n] = s.t
-    return Trajectory(stacked)
+        s = sim.step(s, mode_sources=None if sources is None else [
+            None if f is None else replace(f, data=f.data[n - 1])
+            for f in sources], out=stacked.levels(n))
+    return Trajectory(stacked, sources)
 
 
 def _check_clamped(samples, mesh, degree, name):

@@ -114,14 +114,16 @@ def _swept_config(base: RunConfig, param: str, value: float) -> RunConfig:
 
 def run_sweep(spec: SweepSpec) -> DistanceReport:
     """Run the reference (parameter exactly 0) and every swept value from
-    identical data, and report distances and vanishing-term magnitudes."""
+    identical data, and report distances and vanishing-term magnitudes.
+    No swept parameter changes the sources or the time grid, so every run
+    steps on the sources the reference sampled."""
     spec.validate()
     ref_cfg = _swept_config(spec.base, spec.param, 0.0)
     ref = run(ref_cfg, spec.data)
     rep = DistanceReport()
     for value in spec.values:
         cfg = _swept_config(spec.base, spec.param, value)
-        traj = run(cfg, spec.data)
+        traj = run(cfg, spec.data, sources=ref.sources)
         d = trajectory_distance(traj, ref, cfg.params)
         extras = _vanishing_terms(traj, cfg.params)
         rep.values.append(value)
@@ -136,22 +138,25 @@ def run_sweep(spec: SweepSpec) -> DistanceReport:
     return rep
 
 
+def log_log_fit(xs, ys):
+    """Least-squares slope and residual of log(ys) against log(xs) over the
+    positive ys; (inf, 0.0) when fewer than two are positive."""
+    ys = np.asarray(ys, dtype=float)
+    mask = ys > 0
+    if mask.sum() < 2:
+        return np.inf, 0.0
+    A = np.vstack([np.log(xs)[mask], np.ones(int(mask.sum()))]).T
+    coef, res, *_ = np.linalg.lstsq(A, np.log(ys[mask]), rcond=None)
+    return float(coef[0]), (float(res[0]) if res.size else 0.0)
+
+
 def estimate_rate(report: DistanceReport) -> dict:
     """Per-distance log-log least-squares slope (and residual) against the
     swept values."""
-    vals = np.asarray(report.values, dtype=float)
-    if vals.size < 3:
+    if len(report.values) < 3:
         raise InsufficientPoints("need at least 3 sweep points")
     out = {}
     for name in ("D1", "D2", "D3", "D4"):
-        errs = np.asarray(getattr(report, name), dtype=float)
-        mask = errs > 0
-        if mask.sum() < 2:
-            out[name] = {"slope": np.inf, "residual": 0.0}
-            continue
-        A = np.vstack([np.log(vals[mask]), np.ones(int(mask.sum()))]).T
-        y = np.log(errs[mask])
-        coef, res, *_ = np.linalg.lstsq(A, y, rcond=None)
-        resid = float(res[0]) if res.size else 0.0
-        out[name] = {"slope": float(coef[0]), "residual": resid}
+        slope, resid = log_log_fit(report.values, getattr(report, name))
+        out[name] = {"slope": slope, "residual": resid}
     return out

@@ -20,7 +20,9 @@ from .errors import InsufficientPoints, NotDivergenceFree, Violation
 from .fem1d import (VerticalMesh, _GQ_W, evaluate, load_matrix,
                     quadrature_points)
 from .integrator import Simulator, State, _zero_state
-from .spectral import SpectralField, forward_transform, lateral_grid
+from .limit_lab import log_log_fit
+from .spectral import (SpectralField, forward_transform, lateral_grid,
+                       sample_function)
 
 X1, X2, X3, T = sp.symbols("x1 x2 x3 t", real=True)
 _XV = (X1, X2, X3)
@@ -187,11 +189,9 @@ def exact_state(md: ManufacturedData, cfg: RunConfig, t) -> State:
     mb, mf = s.u.mesh, s.v.mesh
 
     def sample(exprs, mesh, degree):
-        x1, x2 = lateral_grid(d.n1, d.n2)
-        x3 = mesh.nodes(degree)
-        X1g, X2g, X3g = x1[:, None, None], x2[None, :, None], x3[None, None, :]
-        out = np.stack([_lambdify(e)(X1g, X2g, X3g, t) for e in exprs], axis=2)
-        return forward_transform(out, mesh, degree)
+        return forward_transform(sample_function(
+            [_lambdify(e) for e in exprs], d.n1, d.n2, mesh, degree, t=t),
+            mesh, degree)
 
     s.u = sample(md.case.u, mb, 2)
     if s.w is not None:
@@ -264,17 +264,10 @@ def fluid_pressure_l2_error(s: State, md: ManufacturedData, t=0.0) -> float:
 
 
 def fit_order(hs, errs):
-    """Least-squares slope of log(err) vs log(h)."""
-    hs = np.asarray(hs, dtype=float)
-    errs = np.asarray(errs, dtype=float)
-    if hs.size < 3:
+    """Least-squares slope of log(err) vs log(h) (inf at roundoff)."""
+    if len(hs) < 3:
         raise InsufficientPoints("need at least 3 refinement levels")
-    mask = errs > 0
-    if mask.sum() < 2:
-        return np.inf  # errors at roundoff: superconvergent for our purposes
-    A = np.vstack([np.log(hs[mask]), np.ones(mask.sum())]).T
-    slope, _ = np.linalg.lstsq(A, np.log(errs[mask]), rcond=None)[0]
-    return float(slope)
+    return log_log_fit(hs, errs)[0]
 
 
 def convergence_study(case: ManufacturedCase, cfg: RunConfig, levels,

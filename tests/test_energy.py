@@ -459,7 +459,7 @@ def test_driven_audit_reports_finite_constant():
     from dataclasses import replace
     cfg = replace(cfg, sources=src)
     traj = run(cfg, InitialData())
-    rep = en.audit(traj, cfg.params, cfg.sources)
+    rep = en.audit(traj, cfg.params)
     assert rep.driven_constant is not None
     assert np.isfinite(rep.driven_constant)
     assert rep.driven_constant >= 0.0
@@ -491,17 +491,17 @@ def test_driven_constant_matches_recorded_value(name, expected):
     source set is the one of test_driven_audit_reports_finite_constant."""
     from dataclasses import replace
     cfg = replace(make_config(), sources=_DRIVEN_SOURCES[name])
-    rep = en.audit(run(cfg, InitialData()), cfg.params, cfg.sources)
+    rep = en.audit(run(cfg, InitialData()), cfg.params)
     assert rep.driven_constant == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_audit_samples_each_source_once_per_step(monkeypatch):
-    """The source work and the dual-source bound share one sampling of F_b,
-    S and F_f per step."""
+    """The run samples F_b, S and F_f once per step and keeps them on the
+    trajectory; the source work and the dual-source bound read them there,
+    and the audit samples nothing."""
     import bsqs.spectral
     from dataclasses import replace
     cfg = replace(make_config(), sources=_DRIVEN_SOURCES["F_b, S, F_f"])
-    traj = run(cfg, InitialData())
     calls = []
     sample = bsqs.spectral.sample_function
 
@@ -510,15 +510,19 @@ def test_audit_samples_each_source_once_per_step(monkeypatch):
         return sample(*args, **kwargs)
 
     monkeypatch.setattr(bsqs.spectral, "sample_function", counted)
-    rep = en.audit(traj, cfg.params, cfg.sources)
-    assert rep.driven_constant is not None
+    traj = run(cfg, InitialData())
     assert len(calls) == cfg.disc.n_steps * 3
+    calls.clear()
+    rep = en.audit(traj, cfg.params)
+    assert rep.driven_constant is not None
+    assert calls == []
 
 
 def test_run_and_audit_sample_the_sources_at_the_same_times(monkeypatch):
-    """Each step's sources are sampled at the time stamped on its level, by
-    the run and by the audit alike.  At dt = 0.1 the stamps, sums of dt, part
-    from n * dt at steps 6, 7 and 8."""
+    """Each step's sources are sampled once, by the run, at the time stamped
+    on its level; the audit reads them from the trajectory and samples
+    nothing.  At dt = 0.1 the stamps, sums of dt, part from n * dt at steps
+    6, 7 and 8."""
     import bsqs.spectral
     cfg = replace(make_config(dt=0.1, t_end=0.8), sources=SourceSpec(
         S=lambda x1, x2, x3, t: np.cos(2 * np.pi * x2) * x3 * (1 + t)))
@@ -533,9 +537,11 @@ def test_run_and_audit_sample_the_sources_at_the_same_times(monkeypatch):
     traj = run(cfg, InitialData())
     in_run = list(times)
     times.clear()
-    en.audit(traj, cfg.params, cfg.sources)
+    en.audit(traj, cfg.params)
     assert len(in_run) == cfg.disc.n_steps
-    assert in_run == times == traj.times[1:]
+    assert in_run == traj.times[1:]
+    assert in_run != [n * cfg.disc.dt for n in range(1, cfg.disc.n_steps + 1)]
+    assert times == []
 
 
 def test_mass_pairing_matches_dense_per_level_sum(rng):
@@ -584,8 +590,7 @@ def test_dual_bound_factors_only_the_shells_a_load_reaches(monkeypatch,
     cfg = replace(make_config(), sources=sources)
     traj = run(cfg, InitialData())
     s0 = traj.stacked.levels(0)
-    loads = [f if i in kept else None for i, f in enumerate(
-        en._sample_levels(sources, s0, traj.times[1:]))]
+    loads = [f if i in kept else None for i, f in enumerate(traj.sources)]
     factored = []
     dgbtrf = en.dgbtrf
 

@@ -14,7 +14,7 @@ from bsqs.integrator import (InitialData, Simulator, _by_mode, _zero_state,
                              check_same_grid, initialize, run)
 from bsqs.mode_assembly import ModeOperator, build_step_matrix
 from bsqs.spectral import (ModeIndex, inverse_transform, mode_table,
-                           zero_field)
+                           sample_sources, zero_field)
 from bsqs.verification import (manufacture_sources, solve_steady,
                                solve_transient, steady_case, temporal_case)
 from conftest import (every_mode_live, make_config, make_params,
@@ -429,7 +429,9 @@ def _driven_step():
     sim = Simulator(cfg)
     s = initialize(cfg, smooth_data(cfg, u0=True, u1=True, d0=True, v0=True),
                    sim)
-    return sim.step(s, mode_sources=sim._sample_sources(cfg.disc.dt))
+    d = cfg.disc
+    return sim.step(s, mode_sources=sample_sources(
+        cfg.sources, d.n1, d.n2, sim.mb, sim.mf, d.dt))
 
 
 # (norm, projection) per field, recorded from the implementation that

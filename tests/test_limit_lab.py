@@ -1,9 +1,13 @@
 """Singular-limit sweep machinery: spec validation, trajectory distances,
 vanishing-term diagnostics, and rate fitting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import bsqs.spectral
+from bsqs.config import SourceSpec, with_params
 from bsqs.errors import InsufficientPoints, OrderingViolation, Violation
 from bsqs.integrator import InitialData, run
 from bsqs.limit_lab import (DistanceReport, SweepSpec, estimate_rate,
@@ -74,6 +78,40 @@ def test_run_sweep_populates_report_and_decreases():
     # rho terms are identically zero in this regime
     assert all(v == 0.0 for v in rep.kinetic_b)
     assert all(v == 0.0 for v in rep.kinetic_f)
+
+
+def test_driven_sweep_samples_the_sources_once(monkeypatch):
+    """A driven rho sweep samples each source once per stamp, in the
+    reference run (plus its t = 0 probe: rho_f = 0 harvests the fluid state
+    from a solve), and every swept run steps on those samples: its distances
+    are bitwise those of independently run trajectories."""
+    tp = 2 * np.pi
+    cfg = replace(make_config(params=make_params(delta=0.5), t_end=3 / 16),
+                  sources=SourceSpec(
+        F_b=(None, None,
+             lambda x1, x2, x3, t: np.sin(tp * x1) * (1 - x3) * np.cos(t)),
+        S=lambda x1, x2, x3, t: np.cos(tp * x2) * (1 - x3) * x3 * (1 + t),
+        F_f=(lambda x1, x2, x3, t: np.cos(tp * (x1 + x2)) * (1 + x3)
+             * np.sin(t + 1), None, None)))
+    data = InitialData()
+    values = (0.1, 0.05, 0.025)
+    calls = []
+    sample = bsqs.spectral.sample_function
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(bsqs.spectral, "sample_function", counted)
+    rep = run_sweep(SweepSpec(cfg, "rho_joint", values, data))
+    assert len(calls) == 3 * cfg.disc.n_steps + 3
+    ref = run(with_params(cfg, rho_b=0.0, rho_f=0.0), data)
+    for n, value in enumerate(values):
+        swept = with_params(cfg, rho_b=value, rho_f=value)
+        d = trajectory_distance(run(swept, data), ref, swept.params)
+        for name in ("D1", "D2", "D3", "D4"):
+            assert getattr(rep, name)[n] == d[name]
+        assert d["D1"] > 0
 
 
 def test_estimate_rate_slopes_near_one():
