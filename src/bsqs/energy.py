@@ -1,5 +1,5 @@
-"""Discrete energies, dissipation increments, balance audits, interface
-residuals, and the generator dissipativity certificate.
+"""Discrete energies, dissipation increments, balance audits and the
+generator dissipativity certificate.
 
 All norms and the audit's source pairings are Parseval mode sums, by one
 kernel (_frame_form): a weighted sum over stored modes of profile^H *
@@ -12,7 +12,8 @@ energy() and dissipation_increment() also hand back the terms they sum, and
 the balance audit reads its breakdown from those, so it evaluates each norm
 once per level.  Its source terms read the sources the run sampled
 (Trajectory.sources), and its a-priori bound factors one band matrix per
-form and per distinct |k|^2 that a source load reaches.
+form and per distinct |k|^2 that a source load reaches, through
+mode_assembly.BandForm as the step does.
 """
 
 from __future__ import annotations
@@ -23,14 +24,12 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .config import PhysicalParams
-from .errors import BalanceViolation, SingularSystem
-from .fem1d import evaluate_derivative
-from .mode_assembly import (Layout, _entries, _mass_entries, darcy_split,
-                            divergence_split, elastic_split, frame_split,
-                            wave_frames)
+from .errors import BalanceViolation
+from .mode_assembly import (BandForm, Layout, _entries, _mass_entries,
+                            darcy_split, divergence_split, elastic_split,
+                            frame_split, wave_frames)
 from .spectral import SpectralField, mode_table, mode_weights
 
 TWO_PI = 2.0 * np.pi
@@ -317,31 +316,6 @@ def _source_work(prev, s, loads, dt):
                if f is not None)
 
 
-def _band_form(entries, position, n):
-    """A real form sum over m of kap**m A_m on n unknowns, from the entries
-    (rows, cols, values) of each A_m (a list per m of lists of entries, in a
-    local index space that `position` maps to the band order; -1 drops a
-    DOF).  Returns (coeffs, band_rows, cols, kl, ku): the values of every A_m
-    on their union pattern, shape (len(entries), nnz), and each entry's row
-    and column in LAPACK band storage with kl rows of fill on top."""
-    keys, values = [], []
-    for parts in entries:
-        r, c, v = (np.concatenate(x) for x in zip(*parts))
-        r, c = position[r], position[c]
-        keep = (r >= 0) & (c >= 0)
-        keys.append(r[keep] * n + c[keep])
-        values.append(v[keep])
-    keys, slot = np.unique(np.concatenate(keys), return_inverse=True)
-    coeffs = np.zeros((len(entries), keys.size))
-    start = 0
-    for m, v in enumerate(values):
-        np.add.at(coeffs[m], slot[start:start + v.size], v)
-        start += v.size
-    rows, cols = np.divmod(keys, n)
-    kl, ku = int((rows - cols).max()), int((cols - rows).max())
-    return coeffs, kl + ku + rows - cols, cols, kl, ku
-
-
 def _dual_source_quadrature(s0, p, loads, dt):
     """Time quadrature of the source norms entering the a-priori bound:
     ||F_b||_{L2}^2 plus discrete dual norms of S (against the Darcy form) and
@@ -377,12 +351,11 @@ def _dual_source_quadrature(s0, p, loads, dt):
 
     def dual_sum(loads, form):
         """dt * sum over modes and steps of w * Re(l^H A(kap)^-1 l), for the
-        loads l (modes, n, steps) in band order and the band form (_band_form)
-        of the real frame matrix A(kap): factored once per distinct |k|^2
-        with a nonzero load (dgbtrf; the others add exactly zero), with the
-        loads of all its modes and steps solved at once as (re, im) columns
-        (dgbtrs)."""
-        coeffs, band_rows, cols, kl, ku = form
+        loads l (modes, n, steps) in band order and the real BandForm of the
+        frame matrix A(kap) = sum over m of kap**m A_m: factored once per
+        distinct |k|^2 with a nonzero load (the others add exactly zero),
+        with the loads of all its modes and steps solved at once as (re, im)
+        columns."""
         n = loads.shape[1]
         out = 0.0
         for g, idx in enumerate(first):
@@ -390,15 +363,12 @@ def _dual_source_quadrature(s0, p, loads, dt):
             shell_loads = loads[members]
             if not shell_loads.any():
                 continue
-            ab = np.zeros((2 * kl + ku + 1, n), order="F")
-            ab[band_rows, cols] = kap[idx] ** np.arange(len(coeffs)) @ coeffs
-            lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
-            if info != 0:
-                raise SingularSystem(modes[idx],
-                                     f"band LU failed (dgbtrf info {info})")
+            lu, piv = form.factor(
+                kap[idx] ** np.arange(len(form.values)) @ form.values,
+                modes[idx])
             rhs = np.ascontiguousarray(
                 np.moveaxis(shell_loads, 0, 1).reshape(n, -1)).view(float)
-            x, _ = dgbtrs(lu, kl, ku, rhs, piv)
+            x = form.solve(lu, piv, rhs)
             per = np.einsum("ij,ij->j", rhs, x).reshape(members.size, -1)
             out += w[members] @ per.sum(axis=1)
         return dt * out
@@ -407,9 +377,8 @@ def _dual_source_quadrature(s0, p, loads, dt):
         # the free pressure DOFs in node order
         free = mb.free_mask(1)
         position = np.where(free, np.cumsum(free) - 1, -1)
-        form = _band_form([[e] for e in _entries(frame_split, darcy_split,
-                                                 mb)],
-                          position, int(free.sum()))
+        form = BandForm(_entries(frame_split, darcy_split, mb), position,
+                        int(free.sum()))
         total += dual_sum(gram_loads(S)[:, free], form)
     if Ff is not None:
         # the fluid DOFs (v component-major, then p_f) lead the step's free
@@ -419,9 +388,10 @@ def _dual_source_quadrature(s0, p, loads, dt):
         position = lay.free_position[lay.full_offsets()[4]:]
         n = int((position >= 0).sum())
         # per monomial: AV, then B below it and B^T beside it
-        form = _band_form(
-            [[viscous, (nv + rows, cols, vals), (cols, nv + rows, vals)]
-             for viscous, (rows, cols, vals) in zip(
+        form = BandForm(
+            [(np.concatenate([r, nv + rd, cd]),
+              np.concatenate([c, cd, nv + rd]), np.concatenate([v, d, d]))
+             for (r, c, v), (rd, cd, d) in zip(
                  _entries(frame_split, elastic_split, mf, p.nu, 0.0),
                  _entries(frame_split, divergence_split, mf))],
             position, n)
@@ -447,44 +417,3 @@ def generator_dissipativity_check(G, W):
     scale = float(np.linalg.norm(WG, 2))
     return lam / max(scale, 1e-300)
 
-
-def interface_residuals(s_prev, s_next, p: PhysicalParams, dt):
-    """L2(interface) norms of the pointwise residuals of the kinematic,
-    tangential-slip, and normal-stress coupling conditions on solver output.
-
-    Returns dict with keys "kinematic", "slip", "normal_stress".
-    """
-    mb, mf = s_next.u.mesh, s_next.v.mesh
-    n1, n2 = s_next.u.lateral_shape
-    iu = mb.interface_node(2)
-    iv = mf.interface_node(2)
-    ipb = mb.interface_node(1)
-    ipf = mf.interface_node(1)
-    n1h = n1 // 2 + 1
-    # traces (n1h, n2, ncomp), as _trace_norm_sq takes them
-    r1 = np.zeros((n1h, n2, 1), dtype=complex)
-    r2 = np.zeros((n1h, n2, 2), dtype=complex)
-    r4 = np.zeros((n1h, n2, 1), dtype=complex)
-    dtu = (s_next.u.data - s_prev.u.data) / dt
-    for idx, m in enumerate(mode_table(n1, n2)):
-        k1i, j = divmod(idx, n2)
-        kap = (TWO_PI * m.k1, TWO_PI * m.k2)
-        pb = s_next.p_b.data[k1i, j, 0]
-        v = s_next.v.data[k1i, j]
-        # second-order one-sided stencil so the probe's own truncation error
-        # does not dominate the interface mismatch being measured
-        h = 1.0 / mb.ncells
-        dpb = (-3.0 * pb[ipb] + 4.0 * pb[ipb + 1] - pb[ipb + 2]) / (2.0 * h)
-        dv = [evaluate_derivative(mf, 2, v[a], 0.0) for a in range(3)]
-        slip = [v[a][iv] - dtu[k1i, j, a, iu] for a in range(2)]
-        r1[k1i, j] = -p.k_perm * dpb - (v[2][iv] - dtu[k1i, j, 2, iu])
-        for a in range(2):
-            r2[k1i, j, a] = p.beta * slip[a] \
-                + p.nu * (dv[a] + 1j * kap[a] * v[2][iv])
-        r4[k1i, j] = pb[ipb] - s_next.p_f.data[k1i, j, 0, ipf] \
-            + 2.0 * p.nu * dv[2]
-    return {
-        "kinematic": float(np.sqrt(_trace_norm_sq(r1))),
-        "slip": float(np.sqrt(_trace_norm_sq(r2))),
-        "normal_stress": float(np.sqrt(_trace_norm_sq(r4))),
-    }

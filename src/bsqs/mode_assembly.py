@@ -12,11 +12,15 @@ algebraically (w^{n+1} = (u^{n+1} - u^n)/dt) when rho_b > 0.
 The free DOFs are ordered node by node in x3 (see Layout.free_indices), so
 each mode's step matrix is banded with a half-bandwidth that does not grow
 with the mesh.  It is stored in O(N) memory and factored with LAPACK's band
-LU (zgbtrf / zgbtrs).  In the frame of its wave vector (Layout.rotate) a
-mode's step matrix depends only on |k|, so one factorization serves every
-mode with the same k1^2 + k2^2 (ModeOperator, wave_frames).  There, with a
-factor i on the longitudinal components, the forms are real (frame_split);
-the energy norms and the audit's dual source norms use that frame.
+LU.  In the frame of its wave vector (Layout.rotate) a mode's step matrix
+depends only on |k|, so one factorization serves every mode with the same
+k1^2 + k2^2 (ModeOperator, wave_frames).  There, with a factor i on the
+longitudinal components, the forms are real (frame_split); the energy norms
+and the audit's dual source norms use that frame.
+
+BandForm is the product's one band solve path: the step matrix, the audit's
+dual source norms and the initial pressure projection are each assembled,
+factored and solved through one.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .config import PhysicalParams
 from .errors import DegenerateParams, MeshMismatch, SingularSystem, TooLarge
@@ -444,19 +447,81 @@ def _step_entries(p, lay, dt, steady, m):
             np.hstack(times).astype(complex))
 
 
+class BandForm:
+    """A form sum over m of w_m A_m on n unknowns, on one sparsity pattern in
+    band order, and the one band LU path of the product (LAPACK ?gbtrf /
+    ?gbtrs, Anderson et al., LAPACK Users' Guide, 3rd ed., sec. 5.3.3).
+
+    entries: per m, the (rows, cols, values) of A_m in a local index space
+    that `position` maps to the band order (-1 drops a DOF); duplicates are
+    summed in entry order.  The pattern is the union of the A_m, without the
+    positions where every A_m is exactly zero.  Holds `values` (A_m on the
+    pattern, one row per m), the CSR `indices` and `indptr` of the pattern,
+    the half-bandwidths kl, ku and `band_rows`, the row of each entry in
+    band storage with kl rows of fill on top.  The LAPACK routines are those
+    of the values' dtype (real or complex)."""
+
+    def __init__(self, entries, position, n):
+        keys, values = [], []
+        for r, c, v in entries:
+            r, c = position[r], position[c]
+            keep = (r >= 0) & (c >= 0)
+            keys.append(r[keep] * n + c[keep])
+            values.append(v[keep])
+        keys, slot = np.unique(np.concatenate(keys), return_inverse=True)
+        coeffs = np.zeros((len(values), keys.size),
+                          dtype=np.result_type(*values))
+        start = 0
+        for m, v in enumerate(values):
+            np.add.at(coeffs[m], slot[start:start + v.size], v)
+            start += v.size
+        nonzero = np.any(coeffs != 0, axis=0)
+        self.n = n
+        self.values = coeffs[:, nonzero]
+        rows, cols = np.divmod(keys[nonzero], n)      # row-major: CSR order
+        self.indices = cols.astype(np.int32)
+        self.indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+        self.kl = int((rows - cols).max(initial=0))
+        self.ku = int((cols - rows).max(initial=0))
+        self.band_rows = self.kl + self.ku + rows - cols
+        self._gbtrf, self._gbtrs = scipy.linalg.get_lapack_funcs(
+            ("gbtrf", "gbtrs"), dtype=self.values.dtype)
+
+    def csr(self, weights):
+        """sum over m of weights[m] A_m as a CSR matrix on the pattern."""
+        return scipy.sparse.csr_matrix(
+            (weights @ self.values, self.indices, self.indptr),
+            shape=(self.n, self.n))
+
+    def factor(self, data, mode):
+        """Band LU (lu, piv) of the matrix with entries `data` on the pattern
+        (CSR order, the data of csr()); a singular matrix raises
+        SingularSystem naming `mode`."""
+        band = np.zeros((2 * self.kl + self.ku + 1, self.n),
+                        dtype=self.values.dtype, order="F")
+        band[self.band_rows, self.indices] = data
+        lu, piv, info = self._gbtrf(band, self.kl, self.ku, overwrite_ab=1)
+        if info != 0:
+            name = self._gbtrf.typecode + "gbtrf"
+            raise SingularSystem(mode, f"band LU failed ({name} info {info})")
+        return lu, piv
+
+    def solve(self, lu, piv, rhs):
+        """The solution of the factored system for rhs (n,) or (n, k)."""
+        return self._gbtrs(lu, self.kl, self.ku, rhs, piv)[0]
+
+
 class StepCoefficients:
     """The mode-independent part of the step matrix for one (params, meshes,
-    dt): the coefficients A_m of A(kap) = sum_m kap**m over MONOMIALS, on one
-    sparsity pattern over the free DOFs in Layout.free_indices order.
+    dt): `form`, the BandForm of A(kap) = sum_m kap**m A_m over MONOMIALS on
+    the free DOFs in Layout.free_indices order.
 
     Each A_m is assembled from the m-th matrices of the forms' splits
     (elastic_split, divergence_split, darcy_split), so the split is exact.
-    The pattern fixes the half-bandwidths kl, ku and, in CSR order, the
-    LAPACK band position of every entry.
 
     The time terms of the same entries give the prior-level operator
-    B(kap) = A(kap) - A_steady(kap), split the same way: `prior` holds, per
-    monomial, the rows where B_m has entries and B_m on those rows as CSR.
+    B(kap) = A(kap) - A_steady(kap), split the same way: `prior` holds each
+    B_m as an (n_free, n_free) CSR matrix of its nonzero entries.
     """
 
     def __init__(self, p: PhysicalParams, mb: VerticalMesh, mf: VerticalMesh,
@@ -467,55 +532,25 @@ class StepCoefficients:
         self.dt = dt
         self.steady = steady
         self.layout = lay = Layout(mb, mf)
-        n = lay.n_free
-        position = lay.free_position
-
-        entries = []
-        for m in range(len(MONOMIALS)):
-            r, c, v, t = _step_entries(p, lay, dt, steady, m)
-            r, c = position[r], position[c]
-            free = (r >= 0) & (c >= 0)
-            entries.append((r[free] * n + c[free], v[free], t[free]))
-        keys, slot = np.unique(np.concatenate([k for k, _, _ in entries]),
-                               return_inverse=True)
-        # every A_m and its time part B_m on the union of the patterns
-        coeffs, prior = np.zeros((2, len(MONOMIALS), keys.size),
-                                 dtype=complex)
-        start = 0
-        for i, (k, v, t) in enumerate(entries):
-            np.add.at(coeffs[i], slot[start:start + k.size], v)
-            np.add.at(prior[i], slot[start:start + k.size], t)
-            start += k.size
-        rows, cols = np.divmod(keys, n)           # row-major: CSR order
-        self.prior = []
-        for b in prior:
-            keep = b != 0
-            held, counts = np.unique(rows[keep], return_counts=True)
-            self.prior.append((held, scipy.sparse.csr_matrix(
-                (b[keep], cols[keep], np.append(0, np.cumsum(counts))),
-                shape=(held.size, n))))
-
-        nonzero = np.any(coeffs != 0, axis=0)
-        self.values = coeffs[:, nonzero]          # (len(MONOMIALS), nnz)
-        rows, cols = rows[nonzero], cols[nonzero]
-        self.indices = cols.astype(np.int32)
-        self.indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
-        self.kl = int((rows - cols).max())
-        self.ku = int((cols - rows).max())
-        # row of each entry in LAPACK band storage with kl rows of fill on top
-        self.band_rows = self.kl + self.ku + rows - cols
+        parts = [_step_entries(p, lay, dt, steady, m)
+                 for m in range(len(MONOMIALS))]
+        self.form = BandForm([(r, c, v) for r, c, v, _ in parts],
+                             lay.free_position, lay.n_free)
+        time = BandForm([(r, c, t) for r, c, _, t in parts],
+                        lay.free_position, lay.n_free)
+        # copies: eliminate_zeros edits the pattern the csr() matrices share
+        self.prior = [time.csr(w).copy() for w in np.eye(len(MONOMIALS))]
+        for B in self.prior:
+            B.eliminate_zeros()
 
 
 def build_step_matrix(mode, coeffs: StepCoefficients
                       ) -> scipy.sparse.csr_matrix:
     """The free-DOF system matrix A(k1, k2) of one implicit-Euler step for the
     wave vector mode = (k1, k2), a stored ModeIndex or the frame vector
-    (|k|, 0) of one, in CSR form on the pattern of `coeffs` (rows and columns
-    in Layout.free_indices order)."""
-    weights = monomial_weights(*_symbols(mode))
-    n = coeffs.layout.n_free
-    return scipy.sparse.csr_matrix(
-        (weights @ coeffs.values, coeffs.indices, coeffs.indptr), shape=(n, n))
+    (|k|, 0) of one, in CSR form on the pattern of `coeffs.form` (rows and
+    columns in Layout.free_indices order)."""
+    return coeffs.form.csr(monomial_weights(*_symbols(mode)))
 
 
 def divergence_modes(kap1, kap2, U, mesh: VerticalMesh):
@@ -602,20 +637,20 @@ def build_step_rhs(kap1, kap2, coeffs: StepCoefficients, prior=None,
 
     rhs = rhs[:, lay.free_indices()]
     if prior is not None:
-        # sum over MONOMIALS of kap**m * (B_m x), each product over the rows
-        # B_m touches, in (n_free, modes) layout
+        # sum over MONOMIALS of kap**m * (B_m x), in (n_free, modes) layout
         x = np.ascontiguousarray(lay.pack(un, pn, vn)[:, lay.free_indices()].T)
         bx = np.zeros_like(x)
-        for c, (rows, B) in zip(monomial_weights(kap1, kap2).T, coeffs.prior):
-            bx[rows] += c * (B @ x)
+        for c, B in zip(monomial_weights(kap1, kap2).T, coeffs.prior):
+            if B.nnz:
+                bx += c * (B @ x)
         rhs += bx.T
     return rhs
 
 
 class ModeOperator:
     """The step matrix of every mode with the |k|^2 of `mode`, in the frame of
-    its wave vector: A(|k|, 0), factored once in LAPACK band form (zgbtrf)
-    and reused every step.
+    its wave vector: A(|k|, 0), factored once by the step's BandForm
+    (coeffs.form) and reused every step.
 
     The solid and the fluid are laterally isotropic and the slip coefficient
     is a scalar, so A(k1, k2) = Q A(|k|, 0) Q^T exactly, with Q the turn of
@@ -626,15 +661,9 @@ class ModeOperator:
     def __init__(self, mode: ModeIndex, coeffs: StepCoefficients):
         self.mode = mode
         self.layout = coeffs.layout
-        self.kl, self.ku = coeffs.kl, coeffs.ku
+        self.form = coeffs.form
         self.matrix = build_step_matrix((float(np.hypot(*mode)), 0.0), coeffs)
-        band = np.zeros((2 * self.kl + self.ku + 1, self.layout.n_free),
-                        dtype=complex, order="F")
-        band[coeffs.band_rows, coeffs.indices] = self.matrix.data
-        self.band_lu, self.piv, info = zgbtrf(band, self.kl, self.ku,
-                                              overwrite_ab=1)
-        if info != 0:
-            raise SingularSystem(mode, f"band LU failed (zgbtrf info {info})")
+        self.band_lu, self.piv = self.form.factor(self.matrix.data, mode)
 
     def step(self, rhs, modes=None):
         """Solve the frame system for free-DOF right-hand sides already turned
@@ -646,7 +675,7 @@ class ModeOperator:
         in `modes` (default: this operator's mode).  A zero column gives
         x = 0, residual 0."""
         scale = np.linalg.norm(rhs, axis=0)
-        x, _ = zgbtrs(self.band_lu, self.kl, self.ku, rhs, self.piv)
+        x = self.form.solve(self.band_lu, self.piv, rhs)
         res = np.linalg.norm(self.matrix @ x - rhs, axis=0) / np.where(
             scale > 0, scale, 1.0)
         bad = ~(res <= 1e-11)

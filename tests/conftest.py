@@ -10,6 +10,9 @@ import numpy as np  # noqa: E402
 import pytest
 
 from bsqs.config import Discretization, PhysicalParams, RunConfig
+from bsqs.energy import _trace_norm_sq
+from bsqs.fem1d import evaluate_derivative
+from bsqs.spectral import mode_table
 
 
 def make_params(**overrides):
@@ -99,3 +102,45 @@ def frame_rotation(lay, mode):
         R[i, i], R[i, j], R[j, i], R[j, j] = c, -s, s, c
     free = lay.free_indices()
     return R[np.ix_(free, free)]
+
+
+def interface_residuals(s_prev, s_next, p: PhysicalParams, dt):
+    """L2(interface) norms of the pointwise residuals of the kinematic,
+    tangential-slip, and normal-stress coupling conditions on solver output.
+
+    Returns dict with keys "kinematic", "slip", "normal_stress".
+    """
+    mb, mf = s_next.u.mesh, s_next.v.mesh
+    n1, n2 = s_next.u.lateral_shape
+    iu = mb.interface_node(2)
+    iv = mf.interface_node(2)
+    ipb = mb.interface_node(1)
+    ipf = mf.interface_node(1)
+    n1h = n1 // 2 + 1
+    # traces (n1h, n2, ncomp), as _trace_norm_sq takes them
+    r1 = np.zeros((n1h, n2, 1), dtype=complex)
+    r2 = np.zeros((n1h, n2, 2), dtype=complex)
+    r4 = np.zeros((n1h, n2, 1), dtype=complex)
+    dtu = (s_next.u.data - s_prev.u.data) / dt
+    for idx, m in enumerate(mode_table(n1, n2)):
+        k1i, j = divmod(idx, n2)
+        kap = (2 * np.pi * m.k1, 2 * np.pi * m.k2)
+        pb = s_next.p_b.data[k1i, j, 0]
+        v = s_next.v.data[k1i, j]
+        # second-order one-sided stencil so the probe's own truncation error
+        # does not dominate the interface mismatch being measured
+        h = 1.0 / mb.ncells
+        dpb = (-3.0 * pb[ipb] + 4.0 * pb[ipb + 1] - pb[ipb + 2]) / (2.0 * h)
+        dv = [evaluate_derivative(mf, 2, v[a], 0.0) for a in range(3)]
+        slip = [v[a][iv] - dtu[k1i, j, a, iu] for a in range(2)]
+        r1[k1i, j] = -p.k_perm * dpb - (v[2][iv] - dtu[k1i, j, 2, iu])
+        for a in range(2):
+            r2[k1i, j, a] = p.beta * slip[a] \
+                + p.nu * (dv[a] + 1j * kap[a] * v[2][iv])
+        r4[k1i, j] = pb[ipb] - s_next.p_f.data[k1i, j, 0, ipf] \
+            + 2.0 * p.nu * dv[2]
+    return {
+        "kinematic": float(np.sqrt(_trace_norm_sq(r1))),
+        "slip": float(np.sqrt(_trace_norm_sq(r2))),
+        "normal_stress": float(np.sqrt(_trace_norm_sq(r4))),
+    }

@@ -22,7 +22,8 @@ from bsqs.spectral import forward_transform, inverse_transform, mode_table, \
 from bsqs.verification import (convergence_study, manufacture_sources,
                                reconstruction_case, solve_steady, steady_case,
                                temporal_case)
-from conftest import drop_nyquist, make_params, smooth_initial_callables
+from conftest import (drop_nyquist, interface_residuals, make_params,
+                      smooth_initial_callables)
 
 DESK = Discretization(n1=8, n2=8, nb=16, nf=16, dt=1 / 64, t_end=0.5)
 
@@ -289,8 +290,8 @@ def test_criterion_11_interface_condition_residuals():
         cfg = desk_config(params, nb=nv, nf=nv, t_end=0.25)
         data = InitialData.from_callables(cfg, u0=fns["u0"], d0=fns["d0"])
         traj = run(cfg, data)
-        r = en.interface_residuals(traj.states[-2], traj.states[-1], params,
-                                   cfg.disc.dt)
+        r = interface_residuals(traj.states[-2], traj.states[-1], params,
+                                cfg.disc.dt)
         for k, v in r.items():
             res[k].append(v)
     for k, errs in res.items():

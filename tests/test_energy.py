@@ -12,13 +12,14 @@ from bsqs.config import SourceSpec
 from bsqs.errors import BalanceViolation
 from bsqs.fem1d import VerticalMesh, mass
 from bsqs.integrator import InitialData, initialize, run
-from bsqs.mode_assembly import (FRAME_MONOMIALS, MONOMIALS, _mats,
+from bsqs.mode_assembly import (FRAME_MONOMIALS, MONOMIALS, BandForm, _mats,
                                 darcy_split, dense_split, divergence_split,
                                 elastic_blocks, elastic_split, frame_split,
                                 monomial_weights, wave_frames)
 from bsqs.spectral import (SpectralField, forward_transform, mode_table,
                            mode_weights, sample_sources, zero_field)
-from conftest import make_config, make_params, smooth_initial_callables
+from conftest import (interface_residuals, make_config, make_params,
+                      smooth_initial_callables)
 
 
 def field_from(fn_tuple, mesh, degree, n1=4, n2=4):
@@ -592,13 +593,13 @@ def test_dual_bound_factors_only_the_shells_a_load_reaches(monkeypatch,
     s0 = traj.stacked.levels(0)
     loads = [f if i in kept else None for i, f in enumerate(traj.sources)]
     factored = []
-    dgbtrf = en.dgbtrf
+    factor = BandForm.factor
 
     def counted(*args, **kwargs):
         factored.append(1)
-        return dgbtrf(*args, **kwargs)
+        return factor(*args, **kwargs)
 
-    monkeypatch.setattr(en, "dgbtrf", counted)
+    monkeypatch.setattr(BandForm, "factor", counted)
     assert en._dual_source_quadrature(s0, cfg.params, loads, cfg.disc.dt) > 0
     assert len(factored) == 1
 
@@ -722,7 +723,7 @@ def test_interface_residuals_keys_and_decay():
     fns = smooth_initial_callables(alpha=cfg.params.alpha)
     data = InitialData.from_callables(cfg, u0=fns["u0"], d0=fns["d0"])
     traj = run(cfg, data)
-    r = en.interface_residuals(traj.states[-2], traj.states[-1], cfg.params,
-                               cfg.disc.dt)
+    r = interface_residuals(traj.states[-2], traj.states[-1], cfg.params,
+                            cfg.disc.dt)
     assert set(r) == {"kinematic", "slip", "normal_stress"}
     assert all(np.isfinite(v) and v >= 0 for v in r.values())

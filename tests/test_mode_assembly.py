@@ -242,9 +242,9 @@ def test_step_matrix_band_is_mesh_independent():
                                   VerticalMesh("fluid", nf), 1 / 16)
         A = build_step_matrix(ModeIndex(1, -2), coeffs)
         rows, cols = A.nonzero()
-        assert (coeffs.kl, coeffs.ku) == ((rows - cols).max(),
-                                          (cols - rows).max())
-        bands.add((coeffs.kl, coeffs.ku))
+        form = coeffs.form
+        assert (form.kl, form.ku) == ((rows - cols).max(), (cols - rows).max())
+        bands.add((form.kl, form.ku))
     assert len(bands) == 1
     kl, ku = bands.pop()
     assert kl <= 9 and ku <= 9
@@ -409,7 +409,7 @@ def test_residual_gate_checks_every_column_of_a_group(monkeypatch):
     assert all(sim.ops[sim.modes.index(m)] is op for m in group)
     # scaling the last pivot of U changes only solutions whose frame
     # component n - 1 is nonzero: here the third column's alone
-    op.band_lu[op.kl + op.ku, n - 1] *= 2.0
+    op.band_lu[op.form.kl + op.form.ku, n - 1] *= 2.0
     rng = np.random.default_rng(7)
     rhs = np.zeros((len(sim.modes), n), dtype=complex)
     for mode, scale in zip(group, (1.0, 1.0, 1.0, 1e12)):
