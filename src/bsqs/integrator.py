@@ -17,8 +17,9 @@ from .energy import l2_norm
 from .errors import (GridMismatch, IncompatibleData, NotDivergenceFree,
                      Violation)
 from .fem1d import VerticalMesh, mass
-from .mode_assembly import (ModeOperator, StepCoefficients, build_step_rhs,
-                            divergence_modes, mode_symbols, wave_frames)
+from .mode_assembly import (BandForm, ModeOperator, StepCoefficients,
+                            _mass_entries, build_step_rhs, divergence_modes,
+                            mode_symbols, wave_frames)
 from .spectral import (SpectralField, forward_transform, mode_table,
                        sample_function, sample_sources, zero_field)
 
@@ -296,7 +297,8 @@ class Simulator:
 def initialize(cfg: RunConfig, data: InitialData,
                sim: Simulator | None = None) -> State:
     """Build the discrete initial State, recovering p_b(0) from the fluid
-    content and checking the degenerate-storage compatibility condition.
+    content by an L2 projection (a BandForm of the pressure mass matrix) and
+    checking the degenerate-storage compatibility condition.
 
     The degenerate regimes harvest p_b(0) or the fluid state from one
     implicit solve; it uses `sim` (a Simulator for cfg) when given and
@@ -328,13 +330,17 @@ def initialize(cfg: RunConfig, data: InitialData,
         d0 = forward_transform(data.d0, mb, 1)
 
     # L2 projection of d0 - alpha div u0 onto the pressure space, all modes
-    # at once: one solve with the pressure mass matrix for every mode's load
-    Mp = mass(mb, 1)
-    pidx = np.flatnonzero(mb.free_mask(1))
-    load = _by_mode(d0)[:, 0] @ Mp.T - p.alpha * divergence_modes(
+    # at once: one band LU of the pressure mass matrix on the free pressure
+    # DOFs (in node order), applied to every mode's load as (re, im) columns
+    free = mb.free_mask(1)
+    form = BandForm([_mass_entries(mb, 1, 1)],
+                    np.where(free, np.cumsum(free) - 1, -1), int(free.sum()))
+    load = _by_mode(d0)[:, 0] @ mass(mb, 1).T - p.alpha * divergence_modes(
         kap1, kap2, _by_mode(s.u), mb)
+    x = form.solve(*form.factor(form.values[0], None),
+                   np.ascontiguousarray(load[:, free].T).view(float))
     prof = np.zeros_like(load)
-    prof[:, pidx] = np.linalg.solve(Mp[np.ix_(pidx, pidx)], load[:, pidx].T).T
+    prof[:, free] = np.ascontiguousarray(x).view(complex).T
     resid = SpectralField(mb, 1, prof.reshape(d0.data.shape))
 
     if p.c0 > 0:
