@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from bsqs.config import Discretization, RunConfig
@@ -13,8 +14,9 @@ from bsqs.errors import (DegenerateParams, MeshMismatch, SingularSystem,
                          TooLarge)
 from bsqs.fem1d import VerticalMesh
 from bsqs.integrator import Simulator, _zero_state, initialize, InitialData
-from bsqs.mode_assembly import (Layout, ModeOperator, StepCoefficients,
-                                assemble_generator, build_step_matrix,
+from bsqs.mode_assembly import (BandForm, Layout, ModeOperator,
+                                StepCoefficients, assemble_generator,
+                                build_step_matrix,
                                 build_step_rhs, darcy_split,
                                 dense_real_space_oracle, dense_split,
                                 divergence_modes, divergence_split,
@@ -248,6 +250,70 @@ def test_step_matrix_band_is_mesh_independent():
     assert len(bands) == 1
     kl, ku = bands.pop()
     assert kl <= 9 and ku <= 9
+
+
+# local index space of a BandForm test: local DOF 3 is dropped, the others
+# map to band order in a shuffled order
+POSITION = np.array([2, 0, 5, -1, 1, 4, 3])
+
+
+def _band_form_case(rng, dtype, n_monomials=3):
+    """(form, dense A_m): a BandForm of random entries within half-bandwidth
+    2 of the band order, each pair entered twice with different values, plus
+    entries on the dropped DOF, and the dense A_m they sum to."""
+    local = np.argsort(POSITION)[1:]            # band order -> local index
+    n = local.size
+    i, j = (a.ravel() for a in np.meshgrid(np.arange(n), np.arange(n)))
+    near = np.abs(i - j) <= 2
+    i, j = i[near], j[near]
+    entries, dense = [], np.zeros((n_monomials, n, n), dtype=dtype)
+    for m in range(n_monomials):
+        rows = np.concatenate([local[i], local[i], [3, 0]])
+        cols = np.concatenate([local[j], local[j], [0, 3]])
+        values = rng.standard_normal(rows.size).astype(dtype)
+        if dtype == complex:
+            values += 1j * rng.standard_normal(rows.size)
+        if m == 0:                              # a dominant diagonal
+            values[:2 * i.size][np.concatenate([i == j, i == j])] += 10.0
+        entries.append((rows, cols, values))
+        keep = (POSITION[rows] >= 0) & (POSITION[cols] >= 0)
+        np.add.at(dense[m], (POSITION[rows[keep]], POSITION[cols[keep]]),
+                  values[keep])
+    return BandForm(entries, POSITION, n), dense
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_band_form_matches_dense_algebra(rng, dtype):
+    form, dense = _band_form_case(rng, dtype)
+    assert form.values.dtype == dtype
+    assert (form.kl, form.ku) == (2, 2)
+    for weights in (np.array([1.0, 0.0, 0.0]), np.array([1.0, -0.7, 2.5])):
+        A = np.tensordot(weights, dense, 1)
+        M = form.csr(weights)
+        assert M.shape == A.shape
+        np.testing.assert_allclose(M.toarray(), A, rtol=0, atol=1e-14)
+        rhs = rng.standard_normal((A.shape[0], 3)).astype(dtype)
+        lu, piv = form.factor(M.data, ModeIndex(1, 0))
+        np.testing.assert_allclose(form.solve(lu, piv, rhs),
+                                   scipy.linalg.solve(A, rhs), rtol=1e-12,
+                                   atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype,routine", [(float, "dgbtrf"),
+                                           (complex, "zgbtrf")])
+def test_singular_band_form_names_its_mode(dtype, routine):
+    """A tridiagonal form with an empty row is singular: factoring it raises
+    SingularSystem naming the mode given, for either dtype."""
+    n = 5
+    rows = np.array([r for r in range(n) if r != 2 for _ in range(3)])
+    cols = np.clip(rows + np.tile([-1, 0, 1], n - 1), 0, n - 1)
+    values = np.arange(1.0, rows.size + 1).astype(dtype)
+    form = BandForm([(rows, cols, values)], np.arange(n), n)
+    mode = ModeIndex(3, -1)
+    with pytest.raises(SingularSystem) as err:
+        form.factor(form.values[0], mode)
+    assert err.value.mode == mode
+    assert routine in str(err.value)
 
 
 def _held_bytes(obj):
