@@ -456,10 +456,10 @@ class BandForm:
     that `position` maps to the band order (-1 drops a DOF); duplicates are
     summed in entry order.  The pattern is the union of the A_m, without the
     positions where every A_m is exactly zero.  Holds `values` (A_m on the
-    pattern, one row per m), the CSR `indices` and `indptr` of the pattern,
-    the half-bandwidths kl, ku and `band_rows`, the row of each entry in
-    band storage with kl rows of fill on top.  The LAPACK routines are those
-    of the values' dtype (real or complex)."""
+    pattern, one row per m), the read-only CSR `indices` and `indptr` of
+    the pattern, the half-bandwidths kl, ku and `band_rows`, the row of each
+    entry in band storage with kl rows of fill on top.  The LAPACK routines
+    are those of the values' dtype (real or complex)."""
 
     def __init__(self, entries, position, n):
         keys, values = [], []
@@ -481,6 +481,10 @@ class BandForm:
         rows, cols = np.divmod(keys[nonzero], n)      # row-major: CSR order
         self.indices = cols.astype(np.int32)
         self.indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+        # every csr() matrix shares the pattern: an in-place edit of one
+        # (eliminate_zeros, say) raises instead of corrupting the others
+        for a in (self.indices, self.indptr):
+            a.setflags(write=False)
         self.kl = int((rows - cols).max(initial=0))
         self.ku = int((cols - rows).max(initial=0))
         self.band_rows = self.kl + self.ku + rows - cols
@@ -538,7 +542,7 @@ class StepCoefficients:
                              lay.free_position, lay.n_free)
         time = BandForm([(r, c, t) for r, c, _, t in parts],
                         lay.free_position, lay.n_free)
-        # copies: eliminate_zeros edits the pattern the csr() matrices share
+        # copies: eliminate_zeros edits the pattern, which csr() shares
         self.prior = [time.csr(w).copy() for w in np.eye(len(MONOMIALS))]
         for B in self.prior:
             B.eliminate_zeros()

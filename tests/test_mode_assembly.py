@@ -292,6 +292,8 @@ def test_band_form_matches_dense_algebra(rng, dtype):
         M = form.csr(weights)
         assert M.shape == A.shape
         np.testing.assert_allclose(M.toarray(), A, rtol=0, atol=1e-14)
+        with pytest.raises(ValueError):         # the pattern is shared
+            M.eliminate_zeros()
         rhs = rng.standard_normal((A.shape[0], 3)).astype(dtype)
         lu, piv = form.factor(M.data, ModeIndex(1, 0))
         np.testing.assert_allclose(form.solve(lu, piv, rhs),
