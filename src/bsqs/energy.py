@@ -23,13 +23,13 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .config import PhysicalParams
 from .errors import BalanceViolation
-from .mode_assembly import (BandForm, Layout, _entries, _mass_entries,
-                            darcy_split, divergence_split, elastic_split,
-                            frame_split, wave_frames)
+from .fem1d import mass
+from .mode_assembly import (BandForm, Layout, _entries, darcy_split,
+                            divergence_split, elastic_split, frame_split,
+                            wave_frames)
 from .spectral import SpectralField, mode_table, mode_weights
 
 TWO_PI = 2.0 * np.pi
@@ -120,16 +120,6 @@ def _frame_form(a: SpectralField, b: SpectralField, mats, turn: bool):
     return _value((every * w).sum(axis=-1).reshape(lead))
 
 
-@lru_cache(maxsize=None)
-def _gram(mesh, degree: int, ncomp: int = 1):
-    """Sparse (banded) vertical mass Gram matrix of `ncomp` degree-`degree`
-    components on their component-major profile: the step's mass entries
-    (mode_assembly._mass_entries) as a CSR matrix."""
-    n = ncomp * mesh.n_nodes(degree)
-    rows, cols, values = _mass_entries(mesh, degree, ncomp)
-    return scipy.sparse.csr_matrix((values, (rows, cols)), shape=(n, n))
-
-
 def elastic_norm_sq(u: SpectralField, p: PhysicalParams):
     """a_E(u, u) = 2 mu ||D(u)||^2 + lam ||div u||^2 over all modes at once,
     from the frame matrices of the form's split (per level of any leading
@@ -153,7 +143,7 @@ def grad_norm_sq(p_b: SpectralField):
 
 def _mass_pairing(a: SpectralField, b: SpectralField):
     """Re (a, b)_{L2} per level, from the mass Gram matrix."""
-    return _frame_form(a, b, (_gram(a.mesh, a.degree, a.ncomp),), turn=False)
+    return _frame_form(a, b, (mass(a.mesh, a.degree, a.ncomp),), turn=False)
 
 
 def l2_norm_sq(fld: SpectralField):
@@ -345,7 +335,7 @@ def _dual_source_quadrature(s0, p, loads, dt):
     def gram_loads(fld):
         """G z of each mode and step of a level-stacked source z, for the
         Gram G of l2_norm_sq, as (modes, ncomp * nn, steps)."""
-        G = _gram(fld.mesh, fld.degree, fld.ncomp)
+        G = mass(fld.mesh, fld.degree, fld.ncomp)
         Z = fld.data.reshape(-1, G.shape[0])
         return (G @ Z.T).reshape(G.shape[0], -1, len(w)).transpose(2, 0, 1)
 
@@ -376,9 +366,8 @@ def _dual_source_quadrature(s0, p, loads, dt):
     if S is not None:
         # the free pressure DOFs in node order
         free = mb.free_mask(1)
-        position = np.where(free, np.cumsum(free) - 1, -1)
-        form = BandForm(_entries(frame_split, darcy_split, mb), position,
-                        int(free.sum()))
+        form = BandForm(_entries(frame_split, darcy_split, mb),
+                        mb.free_position(1), int(free.sum()))
         total += dual_sum(gram_loads(S)[:, free], form)
     if Ff is not None:
         # the fluid DOFs (v component-major, then p_f) lead the step's free

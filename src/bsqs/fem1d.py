@@ -4,6 +4,12 @@
 Velocity/displacement components use P2, pressures use P1 (a Taylor-Hood-type
 pairing per Fourier mode).  Both meshes place nodes exactly at the interface
 x3 = 0, so interface terms are point evaluations with no interpolation error.
+
+The mesh is uniform, so every vertical form is one cell matrix summed over the
+cells.  assemble() is the one place that sums them: it scatters a cell matrix,
+or a grid of cell blocks for several components, into a read-only sparse CSR
+matrix with O(n_nodes) entries, so no vertical form is ever an
+(n_nodes x n_nodes) array.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse
 
 from .config import BIOT_X3, FLUID_X3
 
@@ -83,37 +90,91 @@ class VerticalMesh:
         mask[self.clamped_node(degree)] = False
         return mask
 
+    def free_position(self, degree):
+        """Position of each node among the free nodes in node order, -1 for
+        the clamped node: the band order of a single free field."""
+        free = self.free_mask(degree)
+        return np.where(free, np.cumsum(free) - 1, -1)
+
     def cell_dofs(self, degree, cell):
         start = degree * cell
         return np.arange(start, start + degree + 1)
 
 
-@lru_cache(maxsize=None)
-def operator_matrix(mesh: VerticalMesh, deg_test: int, deg_trial: int,
-                    d_test: int, d_trial: int) -> np.ndarray:
-    """Global matrix of  integral( D^{d_trial} phi_j  *  D^{d_test} psi_i )
-    over the mesh, with psi in the degree-deg_test space (rows) and phi in the
-    degree-deg_trial space (columns).  Returned as a dense real array."""
+def cell_matrix(mesh: VerticalMesh, deg_test: int, deg_trial: int,
+                d_test: int, d_trial: int) -> np.ndarray:
+    """The (deg_test + 1, deg_trial + 1) matrix of
+    integral( D^{d_trial} phi_j  *  D^{d_test} psi_i ) over one cell, the same
+    on every cell of the uniform mesh (exact Gauss quadrature)."""
     h = mesh.h
     nt, dt_ = _SHAPES[deg_test](_GQ_X)
     ntr, dtr = _SHAPES[deg_trial](_GQ_X)
     test = dt_ / h if d_test else nt
     trial = dtr / h if d_trial else ntr
-    local = h * np.einsum("q,iq,jq->ij", _GQ_W, test, trial)
+    return h * np.einsum("q,iq,jq->ij", _GQ_W, test, trial)
 
-    rows = mesh.n_nodes(deg_test)
-    cols = mesh.n_nodes(deg_trial)
-    out = np.zeros((rows, cols))
-    for c in range(mesh.ncells):
-        ri = mesh.cell_dofs(deg_test, c)
-        ci = mesh.cell_dofs(deg_trial, c)
-        out[np.ix_(ri, ci)] += local
-    out.setflags(write=False)
+
+def assemble(mesh: VerticalMesh, deg_test: int, deg_trial: int,
+             cells) -> scipy.sparse.csr_matrix:
+    """Sum a uniform cell matrix over the cells of the mesh, as a read-only
+    CSR matrix with degree-deg_test test rows and degree-deg_trial trial
+    columns.
+
+    cells is one (deg_test + 1, deg_trial + 1) cell matrix, or an (R, C, ...)
+    grid of them: block (r, c) couples test component r to trial component c,
+    and the result is on the component-major profiles, of shape
+    (R * n_nodes(deg_test), C * n_nodes(deg_trial)).  Each entry is the sum
+    of its cells' terms in cell order; entries that are exactly zero are not
+    stored.  The matrix has the dtype of `cells`, and its data, indices and
+    indptr are read-only, so a matrix shared through a cache cannot be
+    edited in place."""
+    cells = np.asarray(cells)
+    if cells.ndim == 2:
+        cells = cells[None, None]
+    nr, nc, a, b = cells.shape
+    rows = (np.arange(nr)[:, None, None] * mesh.n_nodes(deg_test)
+            + deg_test * np.arange(mesh.ncells)[:, None] + np.arange(a))
+    cols = (np.arange(nc)[:, None, None] * mesh.n_nodes(deg_trial)
+            + deg_trial * np.arange(mesh.ncells)[:, None] + np.arange(b))
+    shape = (nr * mesh.n_nodes(deg_test), nc * mesh.n_nodes(deg_trial))
+    # row-major keys of every (r, c, cell, i, j) entry: the cell axis comes
+    # before the local ones, so the entries of one key arrive in cell order
+    keys = (rows[:, None, :, :, None] * shape[1]
+            + cols[None, :, :, None, :]).ravel()
+    keys, slot = np.unique(keys, return_inverse=True)
+    # -0.0 is the exact additive identity: an entry of one term is that term
+    sums = -np.zeros(keys.size, dtype=cells.dtype)
+    np.add.at(sums, slot, np.broadcast_to(
+        cells[:, :, None], (nr, nc, mesh.ncells, a, b)).ravel())
+    stored = sums != 0
+    row, col = np.divmod(keys[stored], shape[1])
+    out = scipy.sparse.csr_matrix(
+        (sums[stored], col.astype(np.int32),
+         np.searchsorted(row, np.arange(shape[0] + 1)).astype(np.int32)),
+        shape=shape)
+    for arr in (out.data, out.indices, out.indptr):
+        arr.setflags(write=False)
     return out
 
 
-def mass(mesh, degree=2):
-    return operator_matrix(mesh, degree, degree, 0, 0)
+@lru_cache(maxsize=None)
+def operator_matrix(mesh: VerticalMesh, deg_test: int, deg_trial: int,
+                    d_test: int, d_trial: int) -> scipy.sparse.csr_matrix:
+    """Global matrix of  integral( D^{d_trial} phi_j  *  D^{d_test} psi_i )
+    over the mesh, with psi in the degree-deg_test space (rows) and phi in the
+    degree-deg_trial space (columns).  Returned as a read-only real CSR matrix
+    (assemble); it is shared, so take a copy to modify it."""
+    return assemble(mesh, deg_test, deg_trial,
+                    cell_matrix(mesh, deg_test, deg_trial, d_test, d_trial))
+
+
+@lru_cache(maxsize=None)
+def mass(mesh, degree=2, ncomp=1):
+    """The mass (Gram) matrix of `ncomp` degree-`degree` components on their
+    component-major profile: the mass matrix in each diagonal block."""
+    cell = cell_matrix(mesh, degree, degree, 0, 0)
+    return assemble(mesh, degree, degree,
+                    np.eye(ncomp)[:, :, None, None] * cell)
 
 
 def stiffness(mesh, degree=2):

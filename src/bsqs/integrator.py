@@ -17,9 +17,9 @@ from .energy import l2_norm
 from .errors import (GridMismatch, IncompatibleData, NotDivergenceFree,
                      Violation)
 from .fem1d import VerticalMesh, mass
-from .mode_assembly import (BandForm, ModeOperator, StepCoefficients,
-                            _mass_entries, build_step_rhs, divergence_modes,
-                            mode_symbols, wave_frames)
+from .mode_assembly import (BandForm, ModeOperator, StepCoefficients, _coo,
+                            build_step_rhs, divergence_modes, mode_symbols,
+                            wave_frames)
 from .spectral import (SpectralField, forward_transform, mode_table,
                        sample_function, sample_sources, zero_field)
 
@@ -333,9 +333,8 @@ def initialize(cfg: RunConfig, data: InitialData,
     # at once: one band LU of the pressure mass matrix on the free pressure
     # DOFs (in node order), applied to every mode's load as (re, im) columns
     free = mb.free_mask(1)
-    form = BandForm([_mass_entries(mb, 1, 1)],
-                    np.where(free, np.cumsum(free) - 1, -1), int(free.sum()))
-    load = _by_mode(d0)[:, 0] @ mass(mb, 1).T - p.alpha * divergence_modes(
+    form = BandForm([_coo(mass(mb, 1))], mb.free_position(1), int(free.sum()))
+    load = _by_mode(d0)[:, 0] @ mass(mb, 1).toarray().T - p.alpha * divergence_modes(
         kap1, kap2, _by_mode(s.u), mb)
     x = form.solve(*form.factor(form.values[0], None),
                    np.ascontiguousarray(load[:, free].T).view(float))

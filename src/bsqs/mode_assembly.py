@@ -34,7 +34,8 @@ import scipy.sparse
 
 from .config import PhysicalParams
 from .errors import DegenerateParams, MeshMismatch, SingularSystem, TooLarge
-from .fem1d import VerticalMesh, d_trial, mass, mixed_div, mixed_mass, stiffness
+from .fem1d import (VerticalMesh, assemble, cell_matrix, d_trial, mass,
+                    mixed_div, mixed_mass, stiffness)
 from .spectral import ModeIndex, signed_k2
 
 TWO_PI = 2.0 * np.pi
@@ -223,13 +224,18 @@ def dense_split(split, rows, cols):
 @lru_cache(maxsize=None)
 def elastic_split(mesh: VerticalMesh, mu: float, lam: float):
     """The coefficients A_m of the elastic block grid, A(kap) = sum over
-    MONOMIALS of kap1**m[0] * kap2**m[1] * A_m, as sparse CSR matrices on the
-    component-major (3 * n_nodes) profile of a P2 vector field.
+    MONOMIALS of kap1**m[0] * kap2**m[1] * A_m, as read-only sparse CSR
+    matrices on the component-major (3 * n_nodes) profile of a P2 vector
+    field.
 
-    Each A_m is elastic_blocks at unit symbols with only the vertical
-    matrices of the monomial's degree kept, so the split is exact;
-    kap1*kap2 is the half-difference of the (1, 1) and (1, -1) evaluations.
-    The result is shared; do not modify it."""
+    Each A_m is elastic_blocks at unit symbols on the cell matrices, with
+    only those of the monomial's degree kept, summed over the cells
+    (fem1d.assemble), so the split is exact; kap1*kap2 is the
+    half-difference of the (1, 1) and (1, -1) evaluations.  The result is
+    shared; do not modify it."""
+    cells = {"M": cell_matrix(mesh, 2, 2, 0, 0),
+             "K": cell_matrix(mesh, 2, 2, 1, 1),
+             "Ct": cell_matrix(mesh, 2, 2, 0, 1)}
     # powers of the symbols each vertical matrix carries in the form: M
     # pairs two lateral derivatives, Ct one, K none
     degree_of = {"M": 2, "Ct": 1, "K": 0}
@@ -237,48 +243,25 @@ def elastic_split(mesh: VerticalMesh, mu: float, lam: float):
     # the last two, which give kap1*kap2
     evaluations = ((0.0, 0.0, 0), (1.0, 0.0, 1), (0.0, 1.0, 1),
                    (1.0, 0.0, 2), (0.0, 1.0, 2), (1.0, 1.0, 2), (1.0, -1.0, 2))
-    mats = _mats(mesh)
-    nn = mats["M"].shape[0]
-    # every block is a combination of M, K, Ct and Ct^T: one band pattern
-    i, j = np.nonzero((mats["M"] != 0) | (mats["K"] != 0)
-                      | (mats["Ct"] != 0) | (mats["Ct"].T != 0))
-    grid = [(a, c) for a in range(3) for c in range(3)]
-    rows = np.concatenate([a * nn + i for a, _ in grid])
-    cols = np.concatenate([c * nn + j for _, c in grid])
-    evals = []
+    grids = []
     for kap1, kap2, degree in evaluations:
-        g = {k: mats[k] if d == degree else np.zeros_like(mats[k])
+        g = {k: cells[k] if d == degree else np.zeros_like(cells[k])
              for k, d in degree_of.items()}
         B = elastic_blocks(kap1, kap2, g["M"], g["K"], g["Ct"], mu, lam)
-        evals.append(np.concatenate([B[a, c][i, j] for a, c in grid]))
-    split = []
-    for values in evals[:5] + [(evals[5] - evals[6]) / 2]:
-        keep = values != 0
-        split.append(scipy.sparse.csr_matrix(
-            (values[keep], (rows[keep], cols[keep])), shape=(3 * nn, 3 * nn),
-            dtype=complex))
-    return tuple(split)
+        grids.append(np.array(B.tolist(), dtype=complex))
+    return tuple(assemble(mesh, 2, 2, g)
+                 for g in grids[:5] + [(grids[5] - grids[6]) / 2])
 
 
-def _csr(M, shape, offset=0):
-    """The dense matrix M as a complex CSR matrix of `shape`, placed from
-    column `offset` on: its nonzero entries, stored row by row in column
-    order as csr_matrix(M) stores them."""
-    i, j = np.nonzero(M)
-    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
-    np.cumsum(np.bincount(i, minlength=shape[0]), out=indptr[1:])
-    return scipy.sparse.csr_matrix(
-        (M[i, j].astype(complex), (j + offset).astype(np.int32), indptr),
-        shape=shape)
-
-
-def _empty(shape):
-    """A read-only all-zero complex CSR matrix of `shape`, shared by the
-    monomials a split does not hold."""
-    E = scipy.sparse.csr_matrix(shape, dtype=complex)
-    for arr in (E.data, E.indices, E.indptr):
-        arr.setflags(write=False)
-    return E
+def _split(mesh, deg_test, deg_trial, parts):
+    """A split's complex CSR matrices over MONOMIALS, assembled from the
+    cell block grids `parts` of the monomials that it holds (by monomial)
+    and zero at the others."""
+    zero = np.zeros_like(next(iter(parts.values())), dtype=complex)
+    empty = assemble(mesh, deg_test, deg_trial, zero)
+    return tuple(assemble(mesh, deg_test, deg_trial,
+                          np.asarray(parts[k], dtype=complex))
+                 if k in parts else empty for k in MONOMIALS)
 
 
 @lru_cache(maxsize=None)
@@ -287,14 +270,10 @@ def divergence_split(mesh: VerticalMesh):
     a_E, with P1 test rows and component-major P2 trial columns: i*Mm on u1
     at (1, 0), i*Mm on u2 at (0, 1), Cm on u3 at (0, 0), zero elsewhere.
     The result is shared; do not modify it."""
-    m = _mats(mesh)
-    nn = m["Mm"].shape[1]
-    shape = (m["Mm"].shape[0], 3 * nn)
-    parts = {(0, 0): _csr(m["Cm"], shape, 2 * nn),
-             (1, 0): _csr(1j * m["Mm"], shape),
-             (0, 1): _csr(1j * m["Mm"], shape, nn)}
-    empty = _empty(shape)
-    return tuple(parts.get(k, empty) for k in MONOMIALS)
+    Mm, Cm = cell_matrix(mesh, 1, 2, 0, 0), cell_matrix(mesh, 1, 2, 0, 1)
+    Z = np.zeros_like(Mm)
+    return _split(mesh, 1, 2, {(0, 0): [[Z, Z, Cm]], (1, 0): [[1j * Mm, Z, Z]],
+                               (0, 1): [[Z, 1j * Mm, Z]]})
 
 
 @lru_cache(maxsize=None)
@@ -302,20 +281,23 @@ def darcy_split(mesh: VerticalMesh):
     """The Darcy form (grad p, grad q), without the permeability, split over
     MONOMIALS on P1 profiles: Kp at (0, 0), Mp at (2, 0) and (0, 2), zero
     elsewhere.  The result is shared; do not modify it."""
-    m = _mats(mesh)
-    shape = m["Mp"].shape
-    Mp = _csr(m["Mp"], shape)
-    parts = {(0, 0): _csr(m["Kp"], shape), (2, 0): Mp, (0, 2): Mp}
-    empty = _empty(shape)
-    return tuple(parts.get(k, empty) for k in MONOMIALS)
+    Mp = cell_matrix(mesh, 1, 1, 0, 0)
+    return _split(mesh, 1, 1, {(0, 0): cell_matrix(mesh, 1, 1, 1, 1),
+                               (2, 0): Mp, (0, 2): Mp})
+
+
+def _coo(A):
+    """(rows, cols, values) of the stored entries of the CSR matrix A, in
+    its storage order."""
+    return (np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)), A.indices,
+            A.data)
 
 
 @lru_cache(maxsize=None)
 def _entries(split, *args):
     """(rows, cols, values) of the stored entries of each CSR matrix of the
     split split(*args), read once; the arrays are shared."""
-    return tuple((np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)),
-                  A.indices, A.data) for A in split(*args))
+    return tuple(map(_coo, split(*args)))
 
 
 # The monomials that survive at a frame symbol (kap, 0): the coefficients of
@@ -354,18 +336,6 @@ def frame_split(split, mesh: VerticalMesh, *args):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _mass_entries(mesh: VerticalMesh, degree: int, ncomp: int):
-    """(rows, cols, values) of the nonzero entries of the mass matrix of
-    `ncomp` degree-`degree` components on their component-major profile;
-    the arrays are shared."""
-    M = mass(mesh, degree)
-    i, j = np.nonzero(M)
-    shift = np.repeat(np.arange(ncomp) * M.shape[0], i.size)
-    return (shift + np.tile(i, ncomp), shift + np.tile(j, ncomp),
-            np.tile(M[i, j], ncomp))
-
-
 def _step_entries(p, lay, dt, steady, m):
     """Entries (full-vector rows, cols, values, time parts) of the coefficient
     of MONOMIALS[m] in the step matrix, read from the splits of the forms;
@@ -395,7 +365,7 @@ def _step_entries(p, lay, dt, steady, m):
     kv = 0.0 if steady else p.delta / dt
     put(ou + r, ou + c, (1.0 + kv) * e, kv * e)
     if const and p.rho_b > 0 and not steady:
-        r, c, mm = _mass_entries(mb, 2, 3)
+        r, c, mm = _coo(mass(mb, 2, 3))
         put(ou + r, ou + c, (p.rho_b / dt**2) * mm, True)
     # -alpha (p, div xi): Hermitian transpose of the divergence pairing
     rd, cd, d = _entries(divergence_split, mb)[m]
@@ -414,7 +384,7 @@ def _step_entries(p, lay, dt, steady, m):
     put(op + r, op + c, p.k_perm * k)
     if not steady:
         if const and p.c0 > 0:
-            r, c, mm = _mass_entries(mb, 1, 1)
+            r, c, mm = _coo(mass(mb, 1))
             put(op + r, op + c, (p.c0 / dt) * mm, True)
         put(op + rd, ou + cd, (p.alpha / dt) * d, True)
     if const:
@@ -427,7 +397,7 @@ def _step_entries(p, lay, dt, steady, m):
     r, c, e = _entries(elastic_split, mf, p.nu, 0.0)[m]
     put(ov + r, ov + c, e)
     if const and p.rho_f > 0 and not steady:
-        r, c, mm = _mass_entries(mf, 2, 3)
+        r, c, mm = _coo(mass(mf, 2, 3))
         put(ov + r, ov + c, (p.rho_f / dt) * mm, True)
     rd, cd, d = _entries(divergence_split, mf)[m]
     put(ov + cd, opf + rd, -np.conj(d))
@@ -591,8 +561,8 @@ def build_step_rhs(kap1, kap2, coeffs: StepCoefficients, prior=None,
     """
     lay = coeffs.layout
     mb, mf = lay.mb, lay.mf
-    b = _mats(mb)
-    f = _mats(mf)
+    b = {k: A.toarray() for k, A in _mats(mb).items()}
+    f = {k: A.toarray() for k, A in _mats(mf).items()}
     offs = lay.full_offsets()
     nbu, nbp, nfu = lay.full_sizes[0], lay.full_sizes[3], lay.full_sizes[4]
     rhs = np.zeros((len(kap1), sum(lay.full_sizes)), dtype=complex)
@@ -723,10 +693,9 @@ def assemble_generator(mode: ModeIndex, p: PhysicalParams, mb: VerticalMesh,
     DivB = form(divergence_split(mb), ip_, uf)
     DivF = form(divergence_split(mf), slice(None), vf)
     Kdar = p.k_perm * form(darcy_split(mb), ip_, ip_)
-    b, f = _mats(mb), _mats(mf)
-    Mu = np.kron(np.eye(3), b["M"][np.ix_(iu, iu)]).astype(complex)
-    Mp = b["Mp"][np.ix_(ip_, ip_)].astype(complex)
-    Mv = np.kron(np.eye(3), f["M"][np.ix_(iv, iv)]).astype(complex)
+    Mu = mass(mb, 2, 3)[uf][:, uf].toarray().astype(complex)
+    Mp = mass(mb, 1)[ip_][:, ip_].toarray().astype(complex)
+    Mv = mass(mf, 2, 3)[vf][:, vf].toarray().astype(complex)
 
     # divergence-free fluid subspace
     Z = scipy.linalg.null_space(DivF)
@@ -807,8 +776,8 @@ def dense_real_space_oracle(cfg, prior, sources, interface_data=None):
     dt = d.dt
     mb = VerticalMesh("biot", nb)
     mf = VerticalMesh("fluid", nf)
-    b = _mats(mb)
-    f = _mats(mf)
+    b = {k: A.toarray() for k, A in _mats(mb).items()}
+    f = {k: A.toarray() for k, A in _mats(mf).items()}
 
     # lateral spectral differentiation matrices on the flattened n1*n2 grid
     N = n1 * n2

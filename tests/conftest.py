@@ -12,7 +12,13 @@ import pytest
 from bsqs.config import Discretization, PhysicalParams, RunConfig
 from bsqs.energy import _trace_norm_sq
 from bsqs.fem1d import evaluate_derivative
+from bsqs.mode_assembly import _mats
 from bsqs.spectral import mode_table
+
+
+def dense_mats(mesh):
+    """Dense copies of the vertical operators mode_assembly._mats(mesh)."""
+    return {k: A.toarray() for k, A in _mats(mesh).items()}
 
 
 def make_params(**overrides):

@@ -167,7 +167,7 @@ def test_criterion_05_pressure_reconstruction_consistency():
         mf = s.v.mesh
         pi = reconstruct_fluid_pressure(s.p_b, s.v, params.nu, mf.nodes(1))
         diff = pi - s.p_f.data[:, :, 0, :]
-        Mp = mass(mf, 1)
+        Mp = mass(mf, 1).toarray()
         w = mode_weights(cfg.disc.n1, cfg.disc.n2)[:, None]
         errs.append(float(np.sqrt(np.sum(w * np.einsum(
             "kjn,nm,kjm->kj", np.conj(diff), Mp, diff).real))))

@@ -12,14 +12,14 @@ from bsqs.config import SourceSpec
 from bsqs.errors import BalanceViolation
 from bsqs.fem1d import VerticalMesh, mass
 from bsqs.integrator import InitialData, initialize, run
-from bsqs.mode_assembly import (FRAME_MONOMIALS, MONOMIALS, BandForm, _mats,
+from bsqs.mode_assembly import (FRAME_MONOMIALS, MONOMIALS, BandForm,
                                 darcy_split, dense_split, divergence_split,
                                 elastic_blocks, elastic_split, frame_split,
                                 monomial_weights, wave_frames)
 from bsqs.spectral import (SpectralField, forward_transform, mode_table,
                            mode_weights, sample_sources, zero_field)
-from conftest import (interface_residuals, make_config, make_params,
-                      smooth_initial_callables)
+from conftest import (dense_mats, interface_residuals, make_config,
+                      make_params, smooth_initial_callables)
 
 
 def field_from(fn_tuple, mesh, degree, n1=4, n2=4):
@@ -98,7 +98,7 @@ def per_mode_form(fld, form):
 
 
 def elastic_form(mesh, mu, lam):
-    m = _mats(mesh)
+    m = dense_mats(mesh)
 
     def form(kap1, kap2):
         B = elastic_blocks(kap1, kap2, m["M"], m["K"], m["Ct"], mu, lam)
@@ -124,14 +124,14 @@ def test_norms_match_per_mode_block_forms(rng, n1, n2, nb, nf):
     u = random_field(rng, mb, 2, n1, n2, 3)
     v = random_field(rng, mf, 2, n1, n2, 3)
     pb = random_field(rng, mb, 1, n1, n2, 1)
-    mats = _mats(mb)
+    mats = dense_mats(mb)
     cases = [
         (en.elastic_norm_sq(u, p), per_mode_form(u, elastic_form(mb, 1.3, 0.7))),
         (en.viscous_norm_sq(v, 0.4), per_mode_form(v, elastic_form(mf, 0.4, 0.0))),
         (en.grad_norm_sq(pb), per_mode_form(
             pb, lambda k1, k2: (k1**2 + k2**2) * mats["Mp"] + mats["Kp"])),
         (en.l2_norm_sq(v), per_mode_form(
-            v, lambda k1, k2: np.kron(np.eye(3), _mats(mf)["M"]))),
+            v, lambda k1, k2: np.kron(np.eye(3), dense_mats(mf)["M"]))),
         (en.l2_norm_sq(pb), per_mode_form(pb, lambda k1, k2: mats["Mp"])),
     ]
     for fast, slow in cases:
@@ -559,7 +559,7 @@ def test_mass_pairing_matches_dense_per_level_sum(rng):
     fa[:, :6] = 0.0
     fb[:, 10:] = 0.0
     fa[1] = 0.0
-    G = mass(mb, 2)
+    G = mass(mb, 2).toarray()
     w = mode_weights(n1, n2)[:, None]
     dense = [float(np.sum(w * np.einsum("kjcn,nm,kjcm->kj", a.data[n].conj(),
                                         G, b.data[n]).real))
@@ -611,7 +611,7 @@ def null_space_dual_quadrature(s0, p, sampled, dt):
     complex frame symbols (2 pi |k|, 0), with dense solves."""
     n1, n2 = s0.u.lateral_shape
     mb, mf = s0.u.mesh, s0.v.mesh
-    bm, fm = _mats(mb), _mats(mf)
+    bm, fm = dense_mats(mb), dense_mats(mf)
     w = np.repeat(mode_weights(n1, n2), n2)
     modes = mode_table(n1, n2)
     first, shell, c, s = wave_frames(modes)

@@ -25,8 +25,8 @@ from bsqs.mode_assembly import (BandForm, Layout, ModeOperator,
                                 monomial_weights, _mats)
 from bsqs.spectral import (ModeIndex, forward_transform, inverse_transform,
                            mode_table)
-from conftest import (every_mode_live, frame_rotation, make_config,
-                      make_params, smooth_initial_callables)
+from conftest import (dense_mats, every_mode_live, frame_rotation,
+                      make_config, make_params, smooth_initial_callables)
 
 MB = VerticalMesh("biot", 4)
 MF = VerticalMesh("fluid", 4)
@@ -40,7 +40,7 @@ def quad_form(blocks, prof):
 def test_elastic_energy_of_uniaxial_compression():
     # u = (0, 0, 1 - x3), lam = mu = 1, mode (0,0):
     # a_E(u, u) = (2 mu + lam) * integral(u3'^2) = 3
-    m = _mats(MB)
+    m = dense_mats(MB)
     B = elastic_blocks(0.0, 0.0, m["M"], m["K"], m["Ct"], 1.0, 1.0)
     prof = np.zeros((3, MB.n_nodes(2)), dtype=complex)
     prof[2] = 1.0 - MB.nodes(2)
@@ -48,7 +48,7 @@ def test_elastic_energy_of_uniaxial_compression():
 
 
 def test_elastic_form_hermitian_nonnegative(rng):
-    m = _mats(MB)
+    m = dense_mats(MB)
     kap1, kap2 = 2 * np.pi * 1, 2 * np.pi * (-2)
     B = elastic_blocks(kap1, kap2, m["M"], m["K"], m["Ct"], 1.3, 0.7)
     for _ in range(5):
@@ -61,7 +61,7 @@ def test_elastic_form_hermitian_nonnegative(rng):
 
 def test_viscous_form_is_elastic_form_with_zero_lambda():
     # 2 nu (D(v), D(v)) for v = (0, 0, (1+x3)^2), mode 0: 2 nu int (2(1+x3))^2
-    m = _mats(MF)
+    m = dense_mats(MF)
     B = elastic_blocks(0.0, 0.0, m["M"], m["K"], m["Ct"], 0.7, 0.0)
     prof = np.zeros((3, MF.n_nodes(2)), dtype=complex)
     prof[2] = (1.0 + MF.nodes(2)) ** 2
@@ -90,7 +90,7 @@ def test_elastic_split_reproduces_block_grid(rng, box, mu, lam):
     Darcy splits likewise give [i kap1 Mm, i kap2 Mm, Cm] and
     |kap|^2 Mp + Kp."""
     mesh = VerticalMesh(box, 8)
-    m = _mats(mesh)
+    m = dense_mats(mesh)
     split = elastic_split(mesh, mu, lam)
 
     def assert_close(combined, dense):
@@ -122,7 +122,7 @@ def test_elastic_split_is_sparse():
 def test_divergence_blocks_pair_constant_divergence():
     # u = (0, 0, x3 - 1) on the Biot box has div u = 1; pairing with q = 1
     # gives the box volume 1
-    m = _mats(MB)
+    m = dense_mats(MB)
     nn = MB.n_nodes(2)
     split = divergence_split(MB)
     u = np.zeros(3 * nn, dtype=complex)
