@@ -18,8 +18,8 @@ from .errors import (GridMismatch, IncompatibleData, NotDivergenceFree,
                      Violation)
 from .fem1d import VerticalMesh, mass
 from .mode_assembly import (BandForm, ModeOperator, StepCoefficients, _coo,
-                            build_step_rhs, divergence_modes, mode_symbols,
-                            wave_frames)
+                            build_step_rhs, divergence_modes, mass_modes,
+                            mode_symbols, wave_frames)
 from .spectral import (SpectralField, forward_transform, mode_table,
                        sample_function, sample_sources, zero_field)
 
@@ -334,7 +334,7 @@ def initialize(cfg: RunConfig, data: InitialData,
     # DOFs (in node order), applied to every mode's load as (re, im) columns
     free = mb.free_mask(1)
     form = BandForm([_coo(mass(mb, 1))], mb.free_position(1), int(free.sum()))
-    load = _by_mode(d0)[:, 0] @ mass(mb, 1).toarray().T - p.alpha * divergence_modes(
+    load = mass_modes(_by_mode(d0)[:, 0], mb, 1) - p.alpha * divergence_modes(
         kap1, kap2, _by_mode(s.u), mb)
     x = form.solve(*form.factor(form.values[0], None),
                    np.ascontiguousarray(load[:, free].T).view(float))

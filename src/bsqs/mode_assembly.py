@@ -536,6 +536,15 @@ def divergence_modes(kap1, kap2, U, mesh: VerticalMesh):
         monomial_weights(kap1, kap2).T, divergence_split(mesh)) if A.nnz)
 
 
+def mass_modes(U, mesh: VerticalMesh, degree: int):
+    """The mass matrix applied to degree-`degree` profiles of many modes at
+    once: U (modes, ncomp, n) or (modes, n) -> U @ M.T per component,
+    shaped as U."""
+    X = U.reshape(len(U), -1)
+    G = mass(mesh, degree, X.shape[1] // mesh.n_nodes(degree))
+    return (G @ X.T).T.reshape(U.shape)
+
+
 def mode_symbols(modes):
     """Lateral symbols (2 pi k1, 2 pi k2) of a sequence of modes, as two
     arrays in the order given."""
@@ -561,8 +570,6 @@ def build_step_rhs(kap1, kap2, coeffs: StepCoefficients, prior=None,
     """
     lay = coeffs.layout
     mb, mf = lay.mb, lay.mf
-    b = {k: A.toarray() for k, A in _mats(mb).items()}
-    f = {k: A.toarray() for k, A in _mats(mf).items()}
     offs = lay.full_offsets()
     nbu, nbp, nfu = lay.full_sizes[0], lay.full_sizes[3], lay.full_sizes[4]
     rhs = np.zeros((len(kap1), sum(lay.full_sizes)), dtype=complex)
@@ -578,11 +585,11 @@ def build_step_rhs(kap1, kap2, coeffs: StepCoefficients, prior=None,
     if sources is not None:
         Fb, S, Ff = sources
         if Fb is not None:
-            ru += Fb @ b["M"].T
+            ru += mass_modes(Fb, mb, 2)
         if S is not None:
-            rp += S @ b["Mp"].T
+            rp += mass_modes(S, mb, 1)
         if Ff is not None:
-            rv += Ff @ f["M"].T
+            rv += mass_modes(Ff, mf, 2)
 
     if loads is not None:
         Lb, LS, Lf = loads
@@ -596,7 +603,7 @@ def build_step_rhs(kap1, kap2, coeffs: StepCoefficients, prior=None,
     if prior is not None:
         un, wn, pn, vn = prior
         if wn is not None and not coeffs.steady:
-            ru += (coeffs.params.rho_b / coeffs.dt) * (wn @ b["M"].T)
+            ru += (coeffs.params.rho_b / coeffs.dt) * mass_modes(wn, mb, 2)
 
     if interface_data is not None:
         g1, g2, g3, g4 = interface_data
