@@ -16,13 +16,15 @@ import numpy as np
 import sympy as sp
 
 from .config import PhysicalParams, RunConfig
+from .energy import (elastic_norm_sq, grad_norm_sq, l2_norm_sq,
+                     viscous_norm_sq)
 from .errors import InsufficientPoints, NotDivergenceFree, Violation
 from .fem1d import (VerticalMesh, _GQ_W, evaluate, load_matrix,
                     quadrature_points)
 from .integrator import Simulator, State, _zero_state
 from .limit_lab import log_log_fit
-from .spectral import (SpectralField, forward_transform, lateral_grid,
-                       sample_function)
+from .spectral import (SpectralField, forward_transform, inverse_transform,
+                       lateral_grid, sample_function)
 
 X1, X2, X3, T = sp.symbols("x1 x2 x3 t", real=True)
 _XV = (X1, X2, X3)
@@ -227,9 +229,6 @@ def solve_transient(md: ManufacturedData, cfg: RunConfig) -> State:
 def error_norms(s: State, exact: State, p: PhysicalParams) -> dict:
     """Discrete error norms against the exact interpolant: u in the energy
     norm, p_b in H1, v in H1 (symmetric-gradient + L2), p_f in L2."""
-    from .energy import (elastic_norm_sq, grad_norm_sq, l2_norm_sq,
-                         viscous_norm_sq)
-
     du = replace(s.u, data=s.u.data - exact.u.data)
     dp = replace(s.p_b, data=s.p_b.data - exact.p_b.data)
     dv = replace(s.v, data=s.v.data - exact.v.data)
@@ -246,8 +245,6 @@ def fluid_pressure_l2_error(s: State, md: ManufacturedData, t=0.0) -> float:
     """Continuous L2(fluid box) error of the discrete fluid pressure against
     the closed-form field, by Gauss quadrature (the lateral trapezoid sum is
     exact for the single-mode cases used here)."""
-    from .spectral import inverse_transform
-
     mf = s.p_f.mesh
     n1, n2 = s.p_f.lateral_shape
     xq = quadrature_points(mf)
@@ -275,8 +272,6 @@ def convergence_study(case: ManufacturedCase, cfg: RunConfig, levels,
     """Refinement study.  kind "vertical": levels are (nb, nf) pairs with a
     steady solve; "temporal": levels are dt values with transient solves on
     the fixed grid of cfg."""
-    from dataclasses import replace
-
     md = manufacture_sources(case, cfg.params)
     errors = {k: [] for k in ("u", "p_b", "v", "p_f")}
     hs = []
