@@ -317,8 +317,8 @@ def frame_split(split, mesh: VerticalMesh, *args):
     derivative pairs the longitudinal component with the others by a factor
     i, which D absorbs: the imaginary parts vanish exactly.  A field z with
     longitudinal component -i times its frame-turned u_L then has
-    Re(z^H A z) equal to the form of the field.  The result is shared; do
-    not modify it."""
+    Re(z^H A z) equal to the form of the field.  The result is shared and
+    read-only."""
     nn = mesh.n_nodes(2)
     out = []
     for m in map(MONOMIALS.index, FRAME_MONOMIALS):
@@ -330,9 +330,10 @@ def frame_split(split, mesh: VerticalMesh, *args):
         if A.shape[1] == 3 * nn:
             values = np.where(cols < nn, 1j * values, values)
         assert not np.any(values.imag), "frame matrix is not real"
-        out.append(scipy.sparse.csr_matrix(
-            (np.ascontiguousarray(values.real), A.indices, A.indptr),
-            shape=A.shape))
+        values = np.ascontiguousarray(values.real)
+        values.setflags(write=False)
+        out.append(scipy.sparse.csr_matrix((values, A.indices, A.indptr),
+                                           shape=A.shape))
     return tuple(out)
 
 

@@ -1,12 +1,14 @@
 """Time integration: initialization semantics, stepping, determinism, restart
 continuation, and input validation."""
 
-import numpy as np
-import pytest
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
+import pytest
+
 from bsqs import energy as en
-from bsqs import integrator
+from bsqs import fem1d, integrator, mode_assembly
 from bsqs.config import Discretization, RunConfig, SourceSpec, parse_config
 from bsqs.errors import (GridMismatch, IncompatibleData, NotDivergenceFree,
                          Violation)
@@ -166,6 +168,33 @@ time.t_end = 0.0625
 run.u0_3 = 0.1*cos(2*pi*x1)*(1-x3)^2
 run.d0 = -0.2*cos(2*pi*x1)*(1-x3)
 """
+
+
+def test_run_memory_grows_linearly_with_the_vertical_mesh():
+    """No (n_nodes x n_nodes) vertical array is formed on a run or its audit:
+    from cold caches, the traced peak of a run of one step (Simulator build,
+    initialize, step) and its audit on the README data grows by at most 2.5x
+    from nb = nf = 128 to 256, where linear growth gives 2x and quadratic
+    4x."""
+    base = parse_config(README_RUN)
+
+    def peak(n):
+        cfg = replace(base, disc=replace(base.disc, nb=n, nf=n,
+                                         t_end=base.disc.dt))
+        data = InitialData.from_plan(cfg)
+        for module in (fem1d, mode_assembly):
+            for fn in vars(module).values():
+                if hasattr(fn, "cache_clear"):
+                    fn.cache_clear()
+        tracemalloc.start()
+        try:
+            en.audit(run(cfg, data), cfg.params)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(128), peak(256)
+    assert large <= 2.5 * small, f"peak {small} B -> {large} B"
 
 
 def test_step_solves_only_modes_with_nonzero_rhs(monkeypatch):

@@ -12,7 +12,7 @@ from bsqs.config import Discretization, RunConfig
 from bsqs import integrator
 from bsqs.errors import (DegenerateParams, MeshMismatch, SingularSystem,
                          TooLarge)
-from bsqs.fem1d import VerticalMesh
+from bsqs.fem1d import VerticalMesh, mass
 from bsqs.integrator import Simulator, _zero_state, initialize, InitialData
 from bsqs.mode_assembly import (BandForm, Layout, ModeOperator,
                                 StepCoefficients, assemble_generator,
@@ -21,7 +21,7 @@ from bsqs.mode_assembly import (BandForm, Layout, ModeOperator,
                                 dense_real_space_oracle, dense_split,
                                 divergence_modes, divergence_split,
                                 elastic_blocks,
-                                elastic_split, mode_symbols,
+                                elastic_split, frame_split, mode_symbols,
                                 monomial_weights, _mats)
 from bsqs.spectral import (ModeIndex, forward_transform, inverse_transform,
                            mode_table)
@@ -117,6 +117,23 @@ def test_elastic_split_is_sparse():
     split = elastic_split(mesh, 1.0, 1.0)
     assert all(scipy.sparse.issparse(A) for A in split)
     assert sum(A.nnz for A in split) <= 15 * 5 * nn
+
+
+def test_shared_vertical_matrices_are_read_only():
+    """The vertical operators, mass Gram matrices and splits are CSR
+    matrices shared through lru_cache, so an in-place edit of one would
+    reach every later user: it raises instead."""
+    mesh = VerticalMesh("biot", 4)
+    shared = [*_mats(mesh).values(), mass(mesh, 2, 3)]
+    for split, args in ((elastic_split, (1.3, 0.7)), (divergence_split, ()),
+                        (darcy_split, ())):
+        shared += [*split(mesh, *args), *frame_split(split, mesh, *args)]
+    for A in shared:
+        assert A.format == "csr"
+        with pytest.raises(ValueError, match="read-only"):
+            A.data[:1] = 1.0
+        with pytest.raises((ValueError, TypeError), match="read-only"):
+            A.eliminate_zeros()
 
 
 def test_divergence_blocks_pair_constant_divergence():
