@@ -5,10 +5,8 @@ Velocity/displacement components use P2, pressures use P1 (a Taylor-Hood-type
 pairing per Fourier mode).  Both meshes place nodes exactly at the interface
 x3 = 0, so interface terms are point evaluations with no interpolation error.
 
-The mesh is uniform, so every vertical form is one cell matrix summed over the
-cells.  assemble() is the one place that sums them: it scatters a cell matrix,
-or a grid of cell blocks for several components, into a read-only sparse CSR
-matrix with O(n_nodes) entries, so no vertical form is ever an
+Every vertical form is one cell matrix summed over the cells of the uniform
+mesh, by assemble() alone, into a read-only sparse CSR matrix: none is ever an
 (n_nodes x n_nodes) array.
 """
 
@@ -103,9 +101,8 @@ class VerticalMesh:
 
 def cell_matrix(mesh: VerticalMesh, deg_test: int, deg_trial: int,
                 d_test: int, d_trial: int) -> np.ndarray:
-    """The (deg_test + 1, deg_trial + 1) matrix of
-    integral( D^{d_trial} phi_j  *  D^{d_test} psi_i ) over one cell, the same
-    on every cell of the uniform mesh (exact Gauss quadrature)."""
+    """The matrix of  integral( D^{d_trial} phi_j  *  D^{d_test} psi_i )  over
+    one cell, the same on every cell of the uniform mesh."""
     h = mesh.h
     nt, dt_ = _SHAPES[deg_test](_GQ_X)
     ntr, dtr = _SHAPES[deg_trial](_GQ_X)
@@ -116,18 +113,13 @@ def cell_matrix(mesh: VerticalMesh, deg_test: int, deg_trial: int,
 
 def assemble(mesh: VerticalMesh, deg_test: int, deg_trial: int,
              cells) -> scipy.sparse.csr_matrix:
-    """Sum a uniform cell matrix over the cells of the mesh, as a read-only
-    CSR matrix with degree-deg_test test rows and degree-deg_trial trial
-    columns.
+    """A uniform cell matrix summed over the cells, as a read-only CSR
+    matrix with degree-deg_test rows and degree-deg_trial columns.
 
-    cells is one (deg_test + 1, deg_trial + 1) cell matrix, or an (R, C, ...)
-    grid of them: block (r, c) couples test component r to trial component c,
-    and the result is on the component-major profiles, of shape
-    (R * n_nodes(deg_test), C * n_nodes(deg_trial)).  Each entry is the sum
-    of its cells' terms in cell order; entries that are exactly zero are not
-    stored.  The matrix has the dtype of `cells`, and its data, indices and
-    indptr are read-only, so a matrix shared through a cache cannot be
-    edited in place."""
+    cells is one cell matrix, or an (R, C, ...) grid of them whose block
+    (r, c) couples test component r to trial component c on component-major
+    profiles.  Each entry sums its cells' terms in cell order, and exact
+    zeros are not stored."""
     cells = np.asarray(cells)
     if cells.ndim == 2:
         cells = cells[None, None]
@@ -137,17 +129,17 @@ def assemble(mesh: VerticalMesh, deg_test: int, deg_trial: int,
     cols = (np.arange(nc)[:, None, None] * mesh.n_nodes(deg_trial)
             + deg_trial * np.arange(mesh.ncells)[:, None] + np.arange(b))
     shape = (nr * mesh.n_nodes(deg_test), nc * mesh.n_nodes(deg_trial))
-    # row-major keys of every (r, c, cell, i, j) entry: the cell axis comes
-    # before the local ones, so the entries of one key arrive in cell order
+    # row-major keys of the (r, c, cell, i, j) terms; a stable sort keeps
+    # the terms of one entry in cell order
     keys = (rows[:, None, :, :, None] * shape[1]
             + cols[None, :, :, None, :]).ravel()
-    keys, slot = np.unique(keys, return_inverse=True)
-    # -0.0 is the exact additive identity: an entry of one term is that term
-    sums = -np.zeros(keys.size, dtype=cells.dtype)
-    np.add.at(sums, slot, np.broadcast_to(
-        cells[:, :, None], (nr, nc, mesh.ncells, a, b)).ravel())
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    start = np.flatnonzero(np.diff(keys, prepend=-1))
+    sums = np.add.reduceat(np.broadcast_to(
+        cells[:, :, None], (nr, nc, mesh.ncells, a, b)).ravel()[order], start)
     stored = sums != 0
-    row, col = np.divmod(keys[stored], shape[1])
+    row, col = np.divmod(keys[start[stored]], shape[1])
     out = scipy.sparse.csr_matrix(
         (sums[stored], col.astype(np.int32),
          np.searchsorted(row, np.arange(shape[0] + 1)).astype(np.int32)),
@@ -159,22 +151,20 @@ def assemble(mesh: VerticalMesh, deg_test: int, deg_trial: int,
 
 @lru_cache(maxsize=None)
 def operator_matrix(mesh: VerticalMesh, deg_test: int, deg_trial: int,
-                    d_test: int, d_trial: int) -> scipy.sparse.csr_matrix:
+                    d_test: int, d_trial: int, ncomp: int = 1
+                    ) -> scipy.sparse.csr_matrix:
     """Global matrix of  integral( D^{d_trial} phi_j  *  D^{d_test} psi_i )
     over the mesh, with psi in the degree-deg_test space (rows) and phi in the
-    degree-deg_trial space (columns).  Returned as a read-only real CSR matrix
-    (assemble); it is shared, so take a copy to modify it."""
+    degree-deg_trial space (columns), in each diagonal block of `ncomp`
+    components' profiles.  A shared read-only real CSR matrix."""
+    cell = cell_matrix(mesh, deg_test, deg_trial, d_test, d_trial)
     return assemble(mesh, deg_test, deg_trial,
-                    cell_matrix(mesh, deg_test, deg_trial, d_test, d_trial))
-
-
-@lru_cache(maxsize=None)
-def mass(mesh, degree=2, ncomp=1):
-    """The mass (Gram) matrix of `ncomp` degree-`degree` components on their
-    component-major profile: the mass matrix in each diagonal block."""
-    cell = cell_matrix(mesh, degree, degree, 0, 0)
-    return assemble(mesh, degree, degree,
                     np.eye(ncomp)[:, :, None, None] * cell)
+
+
+def mass(mesh, degree=2, ncomp=1):
+    """The mass (Gram) matrix of `ncomp` degree-`degree` components."""
+    return operator_matrix(mesh, degree, degree, 0, 0, ncomp)
 
 
 def stiffness(mesh, degree=2):

@@ -224,15 +224,13 @@ def dense_split(split, rows, cols):
 @lru_cache(maxsize=None)
 def elastic_split(mesh: VerticalMesh, mu: float, lam: float):
     """The coefficients A_m of the elastic block grid, A(kap) = sum over
-    MONOMIALS of kap1**m[0] * kap2**m[1] * A_m, as read-only sparse CSR
-    matrices on the component-major (3 * n_nodes) profile of a P2 vector
-    field.
+    MONOMIALS of kap1**m[0] * kap2**m[1] * A_m, as sparse CSR matrices on the
+    component-major (3 * n_nodes) profile of a P2 vector field.
 
-    Each A_m is elastic_blocks at unit symbols on the cell matrices, with
-    only those of the monomial's degree kept, summed over the cells
-    (fem1d.assemble), so the split is exact; kap1*kap2 is the
-    half-difference of the (1, 1) and (1, -1) evaluations.  The result is
-    shared; do not modify it."""
+    Each A_m is elastic_blocks at unit symbols with only the cell matrices
+    of the monomial's degree kept, summed over the cells, so the split is
+    exact; kap1*kap2 is the half-difference of the (1, 1) and (1, -1)
+    evaluations.  The result is shared and read-only."""
     cells = {"M": cell_matrix(mesh, 2, 2, 0, 0),
              "K": cell_matrix(mesh, 2, 2, 1, 1),
              "Ct": cell_matrix(mesh, 2, 2, 0, 1)}
@@ -254,9 +252,8 @@ def elastic_split(mesh: VerticalMesh, mu: float, lam: float):
 
 
 def _split(mesh, deg_test, deg_trial, parts):
-    """A split's complex CSR matrices over MONOMIALS, assembled from the
-    cell block grids `parts` of the monomials that it holds (by monomial)
-    and zero at the others."""
+    """A split's complex CSR matrices over MONOMIALS: the cell block grids
+    `parts` of the monomials it holds, assembled, and zero elsewhere."""
     zero = np.zeros_like(next(iter(parts.values())), dtype=complex)
     empty = assemble(mesh, deg_test, deg_trial, zero)
     return tuple(assemble(mesh, deg_test, deg_trial,
@@ -287,8 +284,7 @@ def darcy_split(mesh: VerticalMesh):
 
 
 def _coo(A):
-    """(rows, cols, values) of the stored entries of the CSR matrix A, in
-    its storage order."""
+    """(rows, cols, values) of the stored entries of the CSR matrix A."""
     return (np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)), A.indices,
             A.data)
 
@@ -538,9 +534,8 @@ def divergence_modes(kap1, kap2, U, mesh: VerticalMesh):
 
 
 def mass_modes(U, mesh: VerticalMesh, degree: int):
-    """The mass matrix applied to degree-`degree` profiles of many modes at
-    once: U (modes, ncomp, n) or (modes, n) -> U @ M.T per component,
-    shaped as U."""
+    """U @ M.T for the mass matrix M of degree-`degree` profiles, per mode
+    and component of U (modes, ncomp, n) or (modes, n)."""
     X = U.reshape(len(U), -1)
     G = mass(mesh, degree, X.shape[1] // mesh.n_nodes(degree))
     return (G @ X.T).T.reshape(U.shape)
@@ -583,23 +578,13 @@ def build_step_rhs(kap1, kap2, coeffs: StepCoefficients, prior=None,
     p_if = offs[3] + mb.interface_node(1)
     v_if = offs[4] + np.arange(3) * nfu + iv
 
-    if sources is not None:
-        Fb, S, Ff = sources
-        if Fb is not None:
-            ru += mass_modes(Fb, mb, 2)
-        if S is not None:
-            rp += mass_modes(S, mb, 1)
-        if Ff is not None:
-            rv += mass_modes(Ff, mf, 2)
-
-    if loads is not None:
-        Lb, LS, Lf = loads
-        if Lb is not None:
-            ru += Lb
-        if LS is not None:
-            rp += LS
-        if Lf is not None:
-            rv += Lf
+    for view, (mesh, degree), source, load in zip(
+            (ru, rp, rv), ((mb, 2), (mb, 1), (mf, 2)),
+            sources or (None,) * 3, loads or (None,) * 3):
+        if source is not None:
+            view += mass_modes(source, mesh, degree)
+        if load is not None:
+            view += load
 
     if prior is not None:
         un, wn, pn, vn = prior
