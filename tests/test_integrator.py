@@ -170,13 +170,22 @@ run.d0 = -0.2*cos(2*pi*x1)*(1-x3)
 """
 
 
-def test_run_memory_grows_linearly_with_the_vertical_mesh():
+@pytest.mark.parametrize("extra", ["", """
+physics.rho_b = 1.0
+physics.rho_f = 1.0
+sources.Fb3 = 0.5*sin(2*pi*x1)*cos(2*pi*x2)*(1-x3)*cos(4*pi*t)
+sources.S = 0.3*cos(2*pi*x2)*x3*(1+sin(2*pi*t))
+sources.Ff1 = 0.2*cos(2*pi*x2)*(1+x3)*exp(-t)
+"""], ids=["readme", "driven"])
+def test_run_memory_grows_linearly_with_the_vertical_mesh(extra):
     """No (n_nodes x n_nodes) vertical array is formed on a run or its audit:
     from cold caches, the traced peak of a run of one step (Simulator build,
-    initialize, step) and its audit on the README data grows by at most 2.5x
-    from nb = nf = 128 to 256, where linear growth gives 2x and quadratic
-    4x."""
-    base = parse_config(README_RUN)
+    initialize, step) and its audit grows by at most 2.5x from nb = nf = 128
+    to 256, where linear growth gives 2x and quadratic 4x.  The README data
+    reach the build and the initial load; with inertia and the three
+    sources every mass product of the step and the audit's source terms
+    run too."""
+    base = parse_config(README_RUN + extra)
 
     def peak(n):
         cfg = replace(base, disc=replace(base.disc, nb=n, nf=n,
