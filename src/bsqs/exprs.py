@@ -1,6 +1,6 @@
 """Tiny arithmetic expression grammar for closed-form sources and initial data.
 
-Grammar (recursive descent, no eval):
+Grammar (no eval):
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
@@ -9,135 +9,43 @@ Grammar (recursive descent, no eval):
     atom   := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
 
 Names: variables x1, x2, x3, t; constant pi; functions sin, cos, exp.
-Compiled expressions evaluate with numpy broadcasting.
+Python's parser reads it, `^` as `**` (same precedence and associativity),
+through a whitelist of the grammar's nodes; evaluation broadcasts in numpy.
 """
 
-from __future__ import annotations
-
+import ast
 import math
+import operator
 import re
 
 import numpy as np
 
 from .errors import ParseError
 
-_TOKEN = re.compile(r"\s*(?:(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[-+*/^()]))")
+_NUMBER = re.compile(rb"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+# the grammar reads "01" as a number, Python rejects it
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=[0-9])")
 
 _FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
-_VARS = ("x1", "x2", "x3", "t")
-
-
-def _tokenize(text, line=0):
-    pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError(line, f"bad token near {text[pos:pos+10]!r}")
-            break
-        num, name, op = m.groups()
-        if num:
-            out.append(("num", float(num)))
-        elif name:
-            out.append(("name", name))
-        else:
-            out.append(("op", "^" if op == "**" else op))
-        pos = m.end()
-    return out
-
-
-class _Parser:
-    def __init__(self, tokens, line):
-        self.toks = tokens
-        self.i = 0
-        self.line = line
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else (None, None)
-
-    def take(self, kind=None, value=None):
-        k, v = self.peek()
-        if kind is not None and k != kind or (value is not None and v != value):
-            raise ParseError(self.line, f"expected {value or kind}, got {v!r}")
-        self.i += 1
-        return v
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.take("op")
-            rhs = self.term()
-            node = (op, node, rhs)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            op = self.take("op")
-            rhs = self.factor()
-            node = (op, node, rhs)
-        return node
-
-    def factor(self):
-        k, v = self.peek()
-        if (k, v) in (("op", "+"), ("op", "-")):
-            self.take("op")
-            inner = self.factor()
-            return inner if v == "+" else ("neg", inner)
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take("op")
-            return ("^", node, self.factor())
-        return node
-
-    def atom(self):
-        k, v = self.peek()
-        if k == "num":
-            self.take()
-            return ("num", v)
-        if k == "name":
-            self.take()
-            if v == "pi":
-                return ("num", math.pi)
-            if v in _FUNCS:
-                self.take("op", "(")
-                arg = self.expr()
-                self.take("op", ")")
-                return ("call", v, arg)
-            if v in _VARS:
-                return ("var", v)
-            raise ParseError(self.line, f"unknown name {v!r}")
-        if (k, v) == ("op", "("):
-            self.take()
-            node = self.expr()
-            self.take("op", ")")
-            return node
-        raise ParseError(self.line, f"unexpected {v!r}")
+_NAMES = ("x1", "x2", "x3", "t", "pi")
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv,
+           ast.Pow: operator.pow}
+# the other nodes of a checked tree; ast.walk visits operators as nodes too
+_NODES = {ast.BinOp, ast.UnaryOp, ast.UAdd, ast.USub, ast.Load, *_BINOPS}
 
 
 def _eval(node, env):
-    op = node[0]
-    if op == "num":
-        return node[1]
-    if op == "var":
-        return env[node[1]]
-    if op == "neg":
-        return -_eval(node[1], env)
-    if op == "call":
-        return _FUNCS[node[1]](_eval(node[2], env))
-    a, b = _eval(node[1], env), _eval(node[2], env)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    return a ** b
+    kind = type(node)
+    if kind is ast.BinOp:
+        return _BINOPS[type(node.op)](_eval(node.left, env),
+                                      _eval(node.right, env))
+    if kind is ast.UnaryOp:
+        val = _eval(node.operand, env)
+        return -val if type(node.op) is ast.USub else val
+    if kind is ast.Call:
+        return _FUNCS[node.func.id](_eval(node.args[0], env))
+    return env[node.id] if kind is ast.Name else node.value
 
 
 class Expression:
@@ -145,16 +53,45 @@ class Expression:
 
     def __init__(self, text, line=0):
         self.text = text.strip()
-        toks = _tokenize(text, line)
-        if not toks:
+        self.line = line
+        src = _LEADING_ZEROS.sub("", " ".join(text.replace("^", "**").split()))
+        if not src:
             raise ParseError(line, "empty expression")
-        p = _Parser(toks, line)
-        self.ast = p.expr()
-        if p.i != len(toks):
-            raise ParseError(line, f"trailing input after expression: {toks[p.i:]}")
+        if "#" in src or "\0" in src:  # "\0": a ValueError on Python 3.10
+            raise ParseError(line, "bad character '#' or '\\0'")
+        try:
+            self.ast = ast.parse(src, mode="eval").body
+        except SyntaxError as exc:
+            raise ParseError(line, exc.msg) from None
+        except (RecursionError, MemoryError):  # the parser's depth limits
+            raise ParseError(line, "nested too deeply") from None
+        # the whitelist; each number literal gets the float of its text
+        data, callees = src.encode(), set()
+        for node in ast.walk(self.ast):
+            kind = type(node)
+            if kind is ast.Constant:
+                literal = data[node.col_offset:node.end_col_offset]
+                if not _NUMBER.fullmatch(literal):
+                    raise ParseError(line, f"bad literal {literal.decode()}")
+                node.value = float(literal)
+            elif kind is ast.Name:
+                if node.id not in _NAMES and id(node) not in callees:
+                    raise ParseError(line, f"unknown name {node.id!r}")
+            elif kind is ast.Call:
+                if not (type(node.func) is ast.Name and node.func.id in _FUNCS
+                        and len(node.args) == 1):
+                    raise ParseError(line, "only sin, cos and exp of one "
+                                           "argument may be called")
+                callees.add(id(node.func))
+            elif kind not in _NODES:
+                raise ParseError(line, f"unsupported {kind.__name__}")
 
     def __call__(self, x1, x2, x3, t=0.0):
-        val = _eval(self.ast, {"x1": x1, "x2": x2, "x3": x3, "t": t})
+        env = {"x1": x1, "x2": x2, "x3": x3, "t": t, "pi": math.pi}
+        try:
+            val = _eval(self.ast, env)
+        except RecursionError:
+            raise ParseError(self.line, "nested too deeply") from None
         return np.broadcast_to(val, np.broadcast_shapes(
             np.shape(x1), np.shape(x2), np.shape(x3))).astype(float) if np.isscalar(val) else val
 

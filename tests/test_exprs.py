@@ -12,12 +12,19 @@ from bsqs.exprs import Expression
 def test_number_and_arithmetic():
     e = Expression("1 + 2*3 - 4/8")
     assert e(0.0, 0.0, 0.0) == pytest.approx(6.5)
+    # deep, but within the evaluator's reach
+    assert Expression("(" * 150 + "x1" + ")" * 150)(2.0, 0, 0) == 2.0
+    assert Expression("+".join(["x1"] * 500))(2.0, 0, 0) == 1000.0
 
 
 def test_precedence_and_power():
     assert Expression("2^3^1")(0, 0, 0) == pytest.approx(8.0)
     assert Expression("2**3 + 1")(0, 0, 0) == pytest.approx(9.0)
     assert Expression("-2^2")(0, 0, 0) == pytest.approx(-4.0)
+    assert Expression("2^-1")(0, 0, 0) == 0.5
+    assert Expression("2^3^2")(0, 0, 0) == 512.0
+    assert Expression("--x1")(3.0, 0, 0) == 3.0
+    assert Expression("+x1")(3.0, 0, 0) == 3.0
 
 
 def test_variables_and_time():
@@ -49,10 +56,18 @@ def test_constant_broadcasts_to_grid_shape():
 
 def test_scientific_notation():
     assert Expression("1e-3 + 2.5E+1")(0, 0, 0) == pytest.approx(25.001)
+    assert Expression(".5e1")(0, 0, 0) == 5.0
+    assert Expression("3.")(0, 0, 0) == 3.0
+    assert Expression("1.e1")(0, 0, 0) == 10.0
+    assert Expression("007")(0, 0, 0) == 7.0
 
 
 @pytest.mark.parametrize("bad", ["", "x1 +", "sin(x1", "foo(x1)", "x9",
-                                 "1 $ 2", "(x1))"])
+                                 "1 $ 2", "(x1))", "0x1", "1_0", "1j", "True",
+                                 "x1 # c", "sin", "x1/cos", "sin(x1, x2)",
+                                 "x1.real", "x1[0]", "1 < 2", "x1 % 2",
+                                 "x1 // 2", "x1 if t else x2", "lambda: 1",
+                                 "__import__('os')"])
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         Expression(bad, line=3)
