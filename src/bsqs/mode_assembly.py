@@ -631,25 +631,28 @@ class ModeOperator:
         self.form = coeffs.form
         self.matrix = build_step_matrix((float(np.hypot(*mode)), 0.0), coeffs)
         self.band_lu, self.piv = self.form.factor(self.matrix.data, mode)
+        self.norm = np.linalg.norm(self.matrix.data)  # |A|_F, each entry once
 
     def step(self, rhs, modes=None):
         """Solve the frame system for free-DOF right-hand sides already turned
         into the frame: one vector (n_free,) or one per column (n_free, k).
         Returns (x, residual): the solutions, shaped as rhs, and each
-        column's relative residual |A x - b| / |b|, which must not exceed
-        1e-11; Q is orthogonal, so it equals the residual of the mode's own
-        system.  A column that fails raises SingularSystem naming its mode
-        in `modes` (default: this operator's mode).  A zero column gives
-        x = 0, residual 0."""
-        scale = np.linalg.norm(rhs, axis=0)
+        column's normwise backward error |A x - b| / (|A|_F |x| + |b|)
+        (Higham, Accuracy and Stability, 7.1), which must not exceed 1e-11
+        and which a backward stable solve meets at any conditioning; Q is
+        orthogonal, so it equals the mode's own.  A column that fails raises
+        SingularSystem naming its mode in `modes` (default: this operator's
+        mode).  A zero column gives x = 0, residual 0."""
         x = self.form.solve(self.band_lu, self.piv, rhs)
+        scale = self.norm * np.linalg.norm(x, axis=0) + np.linalg.norm(
+            rhs, axis=0)
         res = np.linalg.norm(self.matrix @ x - rhs, axis=0) / np.where(
             scale > 0, scale, 1.0)
         bad = ~(res <= 1e-11)
         if bad.any():
             col = int(np.argmax(bad))
             raise SingularSystem(self.mode if modes is None else modes[col],
-                                 f"relative residual {np.ravel(res)[col]:.3e}")
+                                 f"backward error {np.ravel(res)[col]:.3e}")
         return x, res
 
 

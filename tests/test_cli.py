@@ -38,6 +38,32 @@ run.sweep_values = 0.1,0.01,0.001
 """
 
 
+# the README configuration with the packaging smoke's three sources
+DRIVEN_README_CONFIG = """
+physics.lambda = 1.0
+physics.mu = 1.0
+physics.alpha = 1.0
+physics.c0 = 1.0
+physics.k = 1.0
+physics.nu = 1.0
+physics.beta = 1.0
+physics.rho_b = 0.0
+physics.rho_f = 0.0
+physics.delta = 0.5
+grid.n1 = 8
+grid.n2 = 8
+grid.nb = 16
+grid.nf = 16
+time.dt = 0.015625
+time.t_end = 0.5
+run.u0_3 = 0.1*cos(2*pi*x1)*(1-x3)^2
+run.d0 = -0.2*cos(2*pi*x1)*(1-x3)
+sources.Fb3 = 0.5*sin(2*pi*x1)*cos(2*pi*x2)*(1-x3)*cos(4*pi*t)
+sources.S = 0.3*cos(2*pi*x2)*x3*(1+sin(2*pi*t))
+sources.Ff1 = 0.2*cos(2*pi*x2)*(1+x3)*exp(-t)
+"""
+
+
 @pytest.fixture
 def config_file(tmp_path):
     path = tmp_path / "run.cfg"
@@ -153,6 +179,36 @@ def test_solver_error_exit_code(tmp_path, capsys):
     rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "error[VIOLATION]" in capsys.readouterr().err
+
+
+def test_audit_of_a_nearly_incompressible_solid(tmp_path):
+    """lambda = 3000 (Poisson ratio 0.4998): the step matrix is ill
+    conditioned, yet its band LU is backward stable, so the step's gate on
+    the normwise backward error passes every solve.  A gate of 1e-11 on the
+    relative residual |A x - b| / |b| trips here on rounding alone."""
+    cfg = tmp_path / "stiff.cfg"
+    cfg.write_text(DRIVEN_README_CONFIG.replace("physics.lambda = 1.0",
+                                                "physics.lambda = 3000.0"))
+    out = tmp_path / "out"
+    rc = main(["audit", "--config", str(cfg), "--out", str(out), "--quiet"])
+    assert rc == 0
+    assert len(read_timeseries(out / "energy.csv")["t"]) == 33
+
+
+@pytest.mark.parametrize("expr", [
+    "(" * 300 + "x1" + ")" * 300,          # past the tokenizer's 200 levels
+    "-" * 5000 + "x1",                     # past the parser's depth limits
+    "+".join(["x1"] * 100000),
+    "+".join(["x1"] * 2000),               # parses; too deep to evaluate
+], ids=["parens-300", "minus-5000", "sum-100000", "sum-2000"])
+def test_too_deep_expression_is_parse_error(tmp_path, capsys, expr):
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text(CONFIG + f"sources.S = 0.001*({expr})\n")
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+               "--quiet"])
+    assert rc == 2
+    line = CONFIG.count("\n") + 1
+    assert capsys.readouterr().err.startswith(f"error[PARSE]: line {line}:")
 
 
 def test_bad_usage_exit_code():
