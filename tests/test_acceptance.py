@@ -6,11 +6,10 @@ T = 0.5, dt = 1/64.
 """
 
 import numpy as np
-import pytest
 from dataclasses import replace
 
 from bsqs import energy as en
-from bsqs.config import Discretization, PhysicalParams, RunConfig
+from bsqs.config import Discretization, RunConfig
 from bsqs.fem1d import VerticalMesh, mass
 from bsqs.greens import bvp_oracle, dirichlet_extension, neumann_extension, \
     reconstruct_fluid_pressure
@@ -304,7 +303,7 @@ def test_criterion_12_determinism_and_restart(tmp_path):
     """Byte-identical CSVs across repeated runs; snapshot-restart
     continuation matches the uninterrupted run to 1e-10."""
     from bsqs.cli import main
-    from bsqs.snapshots import read_snapshot, write_snapshot
+    from bsqs.snapshots import read_snapshot
     cfg_text = """
 physics.lambda = 1.0
 physics.mu = 1.0

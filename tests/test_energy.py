@@ -17,7 +17,7 @@ from bsqs.mode_assembly import (FRAME_MONOMIALS, MONOMIALS, BandForm,
                                 elastic_blocks, elastic_split, frame_split,
                                 monomial_weights, wave_frames)
 from bsqs.spectral import (SpectralField, forward_transform, mode_table,
-                           mode_weights, sample_sources, zero_field)
+                           mode_weights, sample_sources)
 from conftest import (dense_mats, interface_residuals, make_config,
                       make_params, smooth_initial_callables)
 

@@ -9,7 +9,7 @@ import pytest
 
 from bsqs import energy as en
 from bsqs import fem1d, integrator, mode_assembly
-from bsqs.config import Discretization, RunConfig, SourceSpec, parse_config
+from bsqs.config import SourceSpec, parse_config
 from bsqs.errors import (GridMismatch, IncompatibleData, NotDivergenceFree,
                          Violation)
 from bsqs.integrator import (InitialData, Simulator, _by_mode, _zero_state,

@@ -8,12 +8,11 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from bsqs.config import Discretization, RunConfig
 from bsqs import integrator
 from bsqs.errors import (DegenerateParams, MeshMismatch, SingularSystem,
                          TooLarge)
 from bsqs.fem1d import VerticalMesh, mass
-from bsqs.integrator import Simulator, _zero_state, initialize, InitialData
+from bsqs.integrator import Simulator, _zero_state
 from bsqs.mode_assembly import (BandForm, Layout, ModeOperator,
                                 StepCoefficients, assemble_generator,
                                 build_step_matrix,
@@ -26,7 +25,7 @@ from bsqs.mode_assembly import (BandForm, Layout, ModeOperator,
 from bsqs.spectral import (ModeIndex, forward_transform, inverse_transform,
                            mode_table)
 from conftest import (dense_mats, every_mode_live, frame_rotation,
-                      make_config, make_params, smooth_initial_callables)
+                      make_config, make_params)
 
 MB = VerticalMesh("biot", 4)
 MF = VerticalMesh("fluid", 4)

@@ -6,7 +6,7 @@ import pytest
 import sympy as sp
 
 from bsqs.errors import NotDivergenceFree, Violation, InsufficientPoints
-from bsqs.verification import (X1, X2, X3, T, ManufacturedCase,
+from bsqs.verification import (X1, X3, T, ManufacturedCase,
                                convergence_study, error_norms, exact_state,
                                fit_order, manufacture_sources, mode_defects,
                                reconstruction_case, solve_steady, steady_case,
