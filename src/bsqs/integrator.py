@@ -188,7 +188,7 @@ class Simulator:
     """Advances all modes of a step at once for one (params, grid, dt).
 
     Only the live modes are touched: those whose prior state (u, w, p_b, v),
-    sources, loads or defects have a nonzero entry.  The scheme is linear and
+    sources or loads have a nonzero entry.  The scheme is linear and
     splits into modes, so every other mode has the exact zero solution.  The
     live modes' right-hand sides are built, turned into the frame of their
     wave vector and solved with one band LU per distinct |k|^2, which is
@@ -216,11 +216,10 @@ class Simulator:
                                   self.coeffs)
 
     def step(self, s: State, mode_sources=None, mode_loads=None,
-             mode_defects=None, out: State | None = None) -> State:
+             out: State | None = None) -> State:
         """One implicit step.  mode_sources: (Fb, S, Ff) SpectralFields or
-        None; mode_loads: (Lb, LS, Lf) pre-integrated load SpectralFields.
-        mode_defects: dict of per-mode interface defect arrays with keys
-        g1 (n1h, n2), g2 (2, n1h, n2), g3 (3, n1h, n2), g4 (n1h, n2).
+        None; mode_loads: (Lb, LS, Lf) pre-integrated load SpectralFields
+        (interface defects included, see verification.mode_loads) or None.
 
         The live modes' u, p_b, v, p_f (and w when rho_b > 0) are written
         into `out`, whose other modes must hold zeros (they are never
@@ -228,7 +227,6 @@ class Simulator:
         is a fresh zero State."""
         cfg = self.cfg
         d = cfg.disc
-        n_modes = len(self.modes)
         if out is None:
             out = _zero_state(cfg)
         out.t = s.t + d.dt
@@ -244,13 +242,7 @@ class Simulator:
 
         prior = (_by_mode(s.u), _by_mode(s.w), scalar(s.p_b), _by_mode(s.v))
         sources, loads = triple(mode_sources), triple(mode_loads)
-        defects = None
-        if mode_defects is not None:
-            g = {k: np.asarray(v).reshape(-1, n_modes).T
-                 for k, v in mode_defects.items()}
-            defects = (g["g1"][:, 0], g["g2"], g["g3"], g["g4"][:, 0])
-        live = np.flatnonzero(_rows_with_data(*prior, *sources, *loads,
-                                              *(defects or ())))
+        live = np.flatnonzero(_rows_with_data(*prior, *sources, *loads))
         if live.size == 0:
             return out
 
@@ -259,8 +251,7 @@ class Simulator:
 
         rhs = build_step_rhs(
             *pick((self.kap1, self.kap2)), self.coeffs, prior=pick(prior),
-            sources=pick(sources), loads=pick(loads),
-            interface_data=None if defects is None else pick(defects))
+            sources=pick(sources), loads=pick(loads))
 
         # a live mode with a zero right-hand side has the zero solution; the
         # others are solved in the frame of their wave vector, one band solve

@@ -549,7 +549,7 @@ def mode_symbols(modes):
 
 
 def build_step_rhs(kap1, kap2, coeffs: StepCoefficients, prior=None,
-                   sources=None, loads=None, interface_data=None) -> np.ndarray:
+                   sources=None, loads=None) -> np.ndarray:
     """Right-hand sides of the step systems of many modes at once, as a
     (modes, n_free) array in Layout.free_indices order.
 
@@ -561,8 +561,6 @@ def build_step_rhs(kap1, kap2, coeffs: StepCoefficients, prior=None,
     sources: (Fb, S, Ff) mode coefficients on the fields' nodal grids
     (multiplied by mass matrices here); loads: (Lb, LS, Lf) pre-integrated
     mode load vectors added verbatim; in both any entry may be None.
-    interface_data: manufactured interface defects (g1, g2, g3, g4) with
-    shapes (modes,), (modes, 2), (modes, 3) and (modes,).
     """
     lay = coeffs.layout
     mb, mf = lay.mb, lay.mf
@@ -573,10 +571,6 @@ def build_step_rhs(kap1, kap2, coeffs: StepCoefficients, prior=None,
     ru = rhs[:, offs[0]:offs[3]].reshape(-1, 3, nbu)
     rp = rhs[:, offs[3]:offs[3] + nbp]
     rv = rhs[:, offs[4]:offs[7]].reshape(-1, 3, nfu)
-    ib, iv = mb.interface_node(2), mf.interface_node(2)
-    ub_if = offs[0] + np.arange(3) * nbu + ib
-    p_if = offs[3] + mb.interface_node(1)
-    v_if = offs[4] + np.arange(3) * nfu + iv
 
     for view, (mesh, degree), source, load in zip(
             (ru, rp, rv), ((mb, 2), (mb, 1), (mf, 2)),
@@ -590,17 +584,6 @@ def build_step_rhs(kap1, kap2, coeffs: StepCoefficients, prior=None,
         un, wn, pn, vn = prior
         if wn is not None and not coeffs.steady:
             ru += (coeffs.params.rho_b / coeffs.dt) * mass_modes(wn, mb, 2)
-
-    if interface_data is not None:
-        g1, g2, g3, g4 = interface_data
-        # Biot outward normal at the interface is -e3, so the stress-balance
-        # defect enters the displacement rows with a minus sign
-        rhs[:, ub_if] -= g3
-        rhs[:, ub_if[:2]] -= g2
-        rhs[:, v_if[:2]] += g2
-        rhs[:, ub_if[2]] -= g4
-        rhs[:, v_if[2]] += g4
-        rhs[:, p_if] += g1
 
     rhs = rhs[:, lay.free_indices()]
     if prior is not None:
@@ -754,7 +737,7 @@ def assemble_generator(mode: ModeIndex, p: PhysicalParams, mb: VerticalMesh,
 # Dense real-space verification oracle (test use only)
 # ---------------------------------------------------------------------------
 
-def dense_real_space_oracle(cfg, prior, sources, interface_data=None):
+def dense_real_space_oracle(cfg, prior, sources):
     """Solve one implicit step as ONE monolithic system over all lateral
     sample points, with dense spectral differentiation matrices in x1/x2 and
     the same vertical elements.  Independent verification path for the

@@ -141,23 +141,6 @@ def _lateral_modes(expr_samples):
     return np.ascontiguousarray(co[: n1 // 2 + 1])
 
 
-def mode_defects(md: ManufacturedData, n1, n2, t):
-    """Half-spectrum interface defect data at time t for Simulator.step."""
-    x1, x2 = lateral_grid(n1, n2)
-    X1g, X2g = x1[:, None], x2[None, :]
-
-    def lat(expr):
-        f = _lambdify(expr)
-        return _lateral_modes(f(X1g, X2g, 0.0, t))
-
-    return {
-        "g1": lat(md.g1),
-        "g2": np.stack([lat(md.g2[j]) for j in range(2)]),
-        "g3": np.stack([lat(md.g3[i]) for i in range(3)]),
-        "g4": lat(md.g4),
-    }
-
-
 def _load_field(exprs, mesh, degree, n1, n2, t):
     """Pre-integrated vertical load vectors per lateral point, transformed."""
     Q = load_matrix(mesh, degree)
@@ -175,12 +158,33 @@ def _load_field(exprs, mesh, degree, n1, n2, t):
 
 
 def mode_loads(md: ManufacturedData, cfg: RunConfig, t):
+    """(Lb, LS, Lf) load SpectralFields at time t for Simulator.step: the
+    volumetric sources, pre-integrated, and each interface defect g1..g4 as
+    a load on its field's interface node (a point evaluation at x3 = 0)."""
     d = cfg.disc
     mb = VerticalMesh("biot", d.nb)
     mf = VerticalMesh("fluid", d.nf)
     Lb = _load_field(md.F_b, mb, 2, d.n1, d.n2, t)
     LS = _load_field((md.S,), mb, 1, d.n1, d.n2, t)
     Lf = _load_field(md.F_f, mf, 2, d.n1, d.n2, t)
+    x1, x2 = lateral_grid(d.n1, d.n2)
+
+    def lat(*exprs):
+        return np.stack([_lateral_modes(_lambdify(e)(
+            x1[:, None], x2[None, :], 0.0, t)) for e in exprs], axis=-1)
+
+    ub = Lb.data[..., mb.interface_node(2)]
+    pb = LS.data[..., mb.interface_node(1)]
+    vf = Lf.data[..., mf.interface_node(2)]
+    g2, g4 = lat(*md.g2), lat(md.g4)[..., 0]
+    # Biot outward normal at the interface is -e3, so the stress-balance
+    # defect enters the displacement rows with a minus sign
+    ub -= lat(*md.g3)
+    ub[..., :2] -= g2
+    vf[..., :2] += g2
+    ub[..., 2] -= g4
+    vf[..., 2] += g4
+    pb += lat(md.g1)
     return Lb, LS, Lf
 
 
@@ -208,9 +212,7 @@ def solve_steady(md: ManufacturedData, cfg: RunConfig) -> State:
     """Steady (time-derivative-free) solve of the manufactured problem."""
     sim = Simulator(cfg, steady=True)
     s0 = _zero_state(cfg)
-    loads = mode_loads(md, cfg, 0.0)
-    defects = mode_defects(md, cfg.disc.n1, cfg.disc.n2, 0.0)
-    return sim.step(s0, mode_loads=loads, mode_defects=defects)
+    return sim.step(s0, mode_loads=mode_loads(md, cfg, 0.0))
 
 
 def solve_transient(md: ManufacturedData, cfg: RunConfig) -> State:
@@ -219,10 +221,7 @@ def solve_transient(md: ManufacturedData, cfg: RunConfig) -> State:
     sim = Simulator(cfg)
     s = exact_state(md, cfg, 0.0)
     for n in range(d.n_steps):
-        t_next = (n + 1) * d.dt
-        loads = mode_loads(md, cfg, t_next)
-        defects = mode_defects(md, d.n1, d.n2, t_next)
-        s = sim.step(s, mode_loads=loads, mode_defects=defects)
+        s = sim.step(s, mode_loads=mode_loads(md, cfg, (n + 1) * d.dt))
     return s
 
 

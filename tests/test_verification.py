@@ -1,6 +1,8 @@
 """Manufactured solutions: admissibility checks, exact source derivation,
 defect data, and convergence studies."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -8,7 +10,7 @@ import sympy as sp
 from bsqs.errors import NotDivergenceFree, Violation, InsufficientPoints
 from bsqs.verification import (X1, X3, T, ManufacturedCase,
                                convergence_study, error_norms, exact_state,
-                               fit_order, manufacture_sources, mode_defects,
+                               fit_order, manufacture_sources, mode_loads,
                                reconstruction_case, solve_steady, steady_case,
                                temporal_case)
 from conftest import make_config, make_params
@@ -55,19 +57,29 @@ def test_sources_verify_pointwise():
 
 
 def test_defects_capture_interface_mismatch():
-    p = make_params()
-    md = manufacture_sources(steady_case(), p)
-    defects = mode_defects(md, 4, 4, 0.0)
-    assert set(defects) == {"g1", "g2", "g3", "g4"}
-    assert defects["g1"].shape == (3, 4)
-    assert defects["g2"].shape == (2, 3, 4)
-    assert defects["g3"].shape == (3, 3, 4)
-    assert defects["g4"].shape == (3, 4)
-    # the manufactured fields have a single cos(2 pi x1) mode: defect energy
-    # sits in the (1, 0) mode only
-    g4 = defects["g4"].copy()
-    g4[1, 0] = 0.0
-    assert np.abs(g4).max() < 1e-14
+    """The loads carry the interface defects as loads on their interface
+    nodes.  The manufactured fields have a single cos(2 pi x1) mode, so the
+    loads, defects included, sit in the (1, 0) mode only."""
+    cfg = make_config()
+    md = manufacture_sources(steady_case(), cfg.params)
+    zero = sp.S.Zero
+    bare = mode_loads(replace(md, g1=zero, g2=(zero,) * 2, g3=(zero,) * 3,
+                              g4=zero), cfg, 0.0)
+    loads = mode_loads(md, cfg, 0.0)
+    for load, volumetric in zip(loads, bare):
+        rest = load.data.copy()
+        rest[1, 0] = 0.0
+        assert np.abs(rest).max() < 1e-14
+        # the defects change the interface node alone
+        node = load.mesh.interface_node(load.degree)
+        moved = np.abs(load.data - volumetric.data).max(axis=(0, 1, 2))
+        assert moved[node] > 1e-3
+        assert np.delete(moved, node).max() == 0.0
+    # g4 = c cos(2 pi x1) enters the v3 row with coefficient c / 2
+    Lf, Lf0 = loads[2], bare[2]
+    iv = Lf.mesh.interface_node(2)
+    c = float(md.g4.subs(X1, 0))
+    assert abs(Lf.data[1, 0, 2, iv] - Lf0.data[1, 0, 2, iv] - c / 2) < 1e-12
 
 
 def test_reconstruction_case_has_zero_normal_stress_defect():
