@@ -87,11 +87,23 @@ class Expression:
                 raise ParseError(line, f"unsupported {kind.__name__}")
 
     def __call__(self, x1, x2, x3, t=0.0):
+        """The value on the broadcast grid of the arguments.  A value that
+        fails in float arithmetic, is complex (a negative base to a
+        fractional power) or has a non-finite sample is a ParseError on the
+        expression's line; numpy's warnings are silenced, not raised."""
         env = {"x1": x1, "x2": x2, "x3": x3, "t": t, "pi": math.pi}
         try:
-            val = _eval(self.ast, env)
+            with np.errstate(all="ignore"):
+                val = _eval(self.ast, env)
         except RecursionError:
             raise ParseError(self.line, "nested too deeply") from None
+        except ArithmeticError as exc:
+            raise ParseError(self.line, f"{type(exc).__name__} in "
+                                        "evaluation") from None
+        if np.iscomplexobj(val):
+            raise ParseError(self.line, "complex value")
+        if not np.isfinite(val).all():
+            raise ParseError(self.line, "non-finite value (inf or nan)")
         return np.broadcast_to(val, np.broadcast_shapes(
             np.shape(x1), np.shape(x2), np.shape(x3))).astype(float) if np.isscalar(val) else val
 

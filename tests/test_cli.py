@@ -200,7 +200,16 @@ def test_audit_of_a_nearly_incompressible_solid(tmp_path):
     "-" * 5000 + "x1",                     # past the parser's depth limits
     "+".join(["x1"] * 100000),
     "+".join(["x1"] * 2000),               # parses; too deep to evaluate
-], ids=["parens-300", "minus-5000", "sum-100000", "sum-2000"])
+    # parses, but its value fails in arithmetic, is complex or not finite
+    "1/0",
+    "10^400",
+    "(0-8)^(1/3)",
+    "(x1-1)^0.5",
+    "exp(1000)*x3",
+    "1/(x1-x1)",
+    "(t-2)^0.5",
+], ids=["parens-300", "minus-5000", "sum-100000", "sum-2000", "div-zero",
+        "overflow", "complex", "nan", "inf-exp", "inf-div", "complex-t"])
 def test_too_deep_expression_is_parse_error(tmp_path, capsys, expr):
     cfg = tmp_path / "deep.cfg"
     cfg.write_text(CONFIG + f"sources.S = 0.001*({expr})\n")
