@@ -56,16 +56,19 @@ def _cmd_run(args):
     rep = en.audit(traj, cfg.params)
     snapshots.write_timeseries(snapshots.energy_report_columns(rep),
                                os.path.join(args.out, "energy.csv"))
+    driven = ("" if rep.driven_constant is None
+              else f"; driven constant {rep.driven_constant:.3e}")
     if args.command == "audit":
         _say(args, f"wrote energy.csv to {args.out}; "
-                   f"max residual {max(rep.residual):.3e}")
+                   f"max residual {max(rep.residual):.3e}{driven}")
         return 0
     regime = {k: getattr(cfg.params, k)
               for k in ("rho_b", "rho_f", "delta", "c0")}
     for n, s in enumerate(traj.states):
         snapshots.write_snapshot(
             s, os.path.join(args.out, f"state_{n:04d}.snap"), regime=regime)
-    _say(args, f"wrote {len(traj.states)} snapshots and energy.csv to {args.out}")
+    _say(args, f"wrote {len(traj.states)} snapshots and energy.csv to "
+               f"{args.out}{driven}")
     return 0
 
 

@@ -181,6 +181,34 @@ def test_solver_error_exit_code(tmp_path, capsys):
     assert "error[VIOLATION]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "audit"])
+def test_summary_reports_the_driven_constant(tmp_path, capsys, command):
+    """A driven run's summary line ends with the audit's driven constant
+    (the a-priori source bound it solves); a source-free one names none."""
+    from bsqs import energy
+    from bsqs.config import parse_config
+    from bsqs.integrator import InitialData, run
+
+    driven = CONFIG + "".join(
+        line + "\n" for line in DRIVEN_README_CONFIG.splitlines()
+        if line.startswith("sources."))
+    cfg = parse_config(driven)
+    rep = energy.audit(run(cfg, InitialData.from_plan(cfg)), cfg.params)
+    assert rep.driven_constant > 0
+    for text, tail in ((driven, f"; driven constant "
+                                f"{rep.driven_constant:.3e}\n"),
+                       (CONFIG, None)):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        if tail is None:
+            assert "driven constant" not in out
+        else:
+            assert out.endswith(tail)
+
+
 def test_audit_of_a_nearly_incompressible_solid(tmp_path):
     """lambda = 3000 (Poisson ratio 0.4998): the step matrix is ill
     conditioned, yet its band LU is backward stable, so the step's gate on
