@@ -98,8 +98,8 @@ class Expression:
         except RecursionError:
             raise ParseError(self.line, "nested too deeply") from None
         except ArithmeticError as exc:
-            raise ParseError(self.line, f"{type(exc).__name__} in "
-                                        "evaluation") from None
+            raise ParseError(self.line,
+                             f"{type(exc).__name__} in evaluation") from None
         if np.iscomplexobj(val):
             raise ParseError(self.line, "complex value")
         if not np.isfinite(val).all():

@@ -3,8 +3,10 @@
 Closed-form fields are given as sympy expressions in (x1, x2, x3, t).
 Volumetric sources are derived by exact symbolic differentiation of the
 governing equations; the four interface coupling conditions are not forced to
-hold -- their residuals (g1..g4) are carried as known defect data that extend
-the weak form.  Manufactured fields use a single lateral Fourier mode so the
+hold -- their residuals (g1..g4) are known defect data that extend the weak
+form.  In a lateral mode every interface integral is a point evaluation at
+x3 = 0, so each defect enters the step as a load on one interface node
+(mode_loads).  Manufactured fields use a single lateral Fourier mode so the
 lateral discretization is exact and studies isolate vertical/temporal error.
 """
 
