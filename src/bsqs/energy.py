@@ -197,6 +197,20 @@ def energy(s, p: PhysicalParams, terms=None):
     return sum(halves.values())
 
 
+def _rate(prev: SpectralField, nxt: SpectralField, dt):
+    """The rate (nxt - prev) / dt of a field between two levels (or blocks
+    of levels), as a field of nxt's shape.  It is formed only on the modes
+    that carry data at some level of either field and written into zeros;
+    every other entry is the exact zero that the difference would give and
+    is left as allocated."""
+    a, b = prev.data, nxt.data
+    others = tuple(range(a.ndim - 4)) + (-2, -1)
+    k1, j = np.nonzero(a.any(axis=others) | b.any(axis=others))
+    out = np.zeros(b.shape, b.dtype)
+    out[..., k1, j, :, :] = (b[..., k1, j, :, :] - a[..., k1, j, :, :]) / dt
+    return replace(nxt, data=out)
+
+
 def dissipation_increment(s_prev, s_next, p: PhysicalParams, dt, terms=None):
     """d_inc = dt [k ||grad p^{n+1}||^2 + 2 nu ||D(v^{n+1})||^2
     + delta ||Dt u||_E^2 + beta ||slip||^2_interface], summed in that order.
@@ -209,8 +223,7 @@ def dissipation_increment(s_prev, s_next, p: PhysicalParams, dt, terms=None):
     viscous = viscous_norm_sq(s_next.v, p.nu)
     kv = _value(np.zeros_like(darcy))
     if p.delta > 0:
-        du = replace(s_next.u, data=(s_next.u.data - s_prev.u.data) / dt)
-        kv = p.delta * elastic_norm_sq(du, p)
+        kv = p.delta * elastic_norm_sq(_rate(s_prev.u, s_next.u, dt), p)
     slip = p.beta * _trace_norm_sq(_slip_trace(s_prev, s_next, dt))
     if terms is not None:
         terms.update(darcy=darcy, viscous=viscous, kelvin_voigt=kv, slip=slip)
@@ -300,8 +313,7 @@ def _source_work(prev, s, loads, dt):
     """(F_b, Dt u) + (S, p^{n+1}) + (F_f, v^{n+1}) at the implicit levels of
     the increments (prev, s), one value per level, for the level-stacked
     sources (Fb, S, Ff) sampled at those levels."""
-    du = None if loads[0] is None else replace(
-        s.u, data=(s.u.data - prev.u.data) / dt)
+    du = None if loads[0] is None else _rate(prev.u, s.u, dt)
     return sum(_mass_pairing(x, f) for x, f in zip((du, s.p_b, s.v), loads)
                if f is not None)
 
@@ -333,26 +345,35 @@ def _dual_source_quadrature(s0, p, loads, dt):
         total += dt * float(np.sum(l2_norm_sq(Fb)))
 
     def gram_loads(fld):
-        """G z of each mode and step of a level-stacked source z, for the
-        Gram G of l2_norm_sq, as (modes, ncomp * nn, steps)."""
+        """The loaded modes of a level-stacked source z (storage indices of
+        the modes where z is nonzero at some step) and G z of each of them
+        and of each step, for the Gram G of l2_norm_sq, as (loaded modes,
+        ncomp * nn, steps)."""
         G = mass(fld.mesh, fld.degree, fld.ncomp)
-        Z = fld.data.reshape(-1, G.shape[0])
-        return (G @ Z.T).reshape(G.shape[0], -1, len(w)).transpose(2, 0, 1)
+        Z = fld.data.reshape(-1, len(w), G.shape[0])
+        steps = len(Z)
+        loaded = np.flatnonzero(Z.any(axis=(0, 2)))
+        Z = Z[:, loaded].reshape(-1, G.shape[0])
+        return loaded, (G @ Z.T).reshape(
+            G.shape[0], steps, loaded.size).transpose(2, 0, 1)
 
-    def dual_sum(loads, form):
-        """dt * sum over modes and steps of w * Re(l^H A(kap)^-1 l), for the
-        loads l (modes, n, steps) in band order and the real BandForm of the
-        frame matrix A(kap) = sum over m of kap**m A_m: factored once per
-        distinct |k|^2 with a nonzero load (the others add exactly zero),
-        with the loads of all its modes and steps solved at once as (re, im)
-        columns."""
+    def dual_sum(loaded, loads, form):
+        """dt * sum over the loaded modes and steps of w * Re(l^H A(kap)^-1
+        l), for their loads l (loaded modes, n, steps) in band order and the
+        real BandForm of the frame matrix A(kap) = sum over m of kap**m A_m:
+        factored once per distinct |k|^2 with a nonzero load (the others
+        add exactly zero), with the loads of all its modes and steps solved
+        at once as (re, im) columns."""
         n = loads.shape[1]
         out = 0.0
-        for g, idx in enumerate(first):
-            members = np.flatnonzero(shell == g)
-            shell_loads = loads[members]
+        groups = shell[loaded]
+        for g in np.unique(groups):
+            mine = groups == g
+            shell_loads = loads[mine]
             if not shell_loads.any():
                 continue
+            members = loaded[mine]
+            idx = first[g]
             lu, piv = form.factor(
                 kap[idx] ** np.arange(len(form.values)) @ form.values,
                 modes[idx])
@@ -368,7 +389,8 @@ def _dual_source_quadrature(s0, p, loads, dt):
         free = mb.free_mask(1)
         form = BandForm(_entries(frame_split, darcy_split, mb),
                         mb.free_position(1), int(free.sum()))
-        total += dual_sum(gram_loads(S)[:, free], form)
+        loaded, L = gram_loads(S)
+        total += dual_sum(loaded, L[:, free], form)
     if Ff is not None:
         # the fluid DOFs (v component-major, then p_f) lead the step's free
         # order; their block of it is the Stokes system's band order
@@ -384,16 +406,19 @@ def _dual_source_quadrature(s0, p, loads, dt):
                  _entries(frame_split, elastic_split, mf, p.nu, 0.0),
                  _entries(frame_split, divergence_split, mf))],
             position, n)
-        # the loads' (F_f1, F_f2) components turned into each mode's frame,
-        # as (-i l_L, l_T)
-        L = gram_loads(Ff).reshape(len(w), 3, nv // 3, -1)
-        cc, ss = c[:, None, None], s[:, None, None]
+        # the loads' (F_f1, F_f2) components turned into each loaded mode's
+        # frame, as (-i l_L, l_T)
+        loaded, L = gram_loads(Ff)
+        steps = L.shape[-1]
+        L = L.reshape(loaded.size, 3, nv // 3, steps)
+        cc, ss = c[loaded, None, None], s[loaded, None, None]
         a, b = L[:, 0], L[:, 1]
         L[:, 0], L[:, 1] = -1j * (cc * a + ss * b), cc * b - ss * a
-        turned = np.zeros((len(w), n, L.shape[-1]), dtype=complex)
+        turned = np.zeros((loaded.size, n, steps), dtype=complex)
         vpos = position[:nv]
-        turned[:, vpos[vpos >= 0]] = L.reshape(len(w), nv, -1)[:, vpos >= 0]
-        total += dual_sum(turned, form)
+        turned[:, vpos[vpos >= 0]] = L.reshape(loaded.size, nv, steps)[
+            :, vpos >= 0]
+        total += dual_sum(loaded, turned, form)
     return total
 
 

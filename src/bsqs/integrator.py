@@ -390,9 +390,12 @@ def run(cfg: RunConfig, data: InitialData, sources=None) -> Trajectory:
         None if f is None else replace(
             f, data=np.zeros(times.shape + f.data.shape, f.data.dtype))
         for f in s.fields()))
+    # like each step, level 0 gets only the initial state's live modes
+    k1i, j = np.divmod(np.flatnonzero(_rows_with_data(
+        *(_by_mode(f) for f in s.fields()))), d.n2)
     for level, f in zip(stacked.fields(), s.fields()):
         if f is not None:
-            level.data[0] = f.data
+            level.data[0, k1i, j] = f.data[k1i, j]
     if sources is None and not cfg.sources.is_zero():
         sources = _stacked_sources(cfg.sources, s, times[1:].tolist())
     for n in range(1, d.n_steps + 1):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import RunConfig, with_params
-from .energy import (_NEXT, _PREV, _slip_trace, _trace_norm_sq,
+from .energy import (_NEXT, _PREV, _rate, _slip_trace, _trace_norm_sq,
                      elastic_norm_sq, grad_norm_sq, l2_norm_sq,
                      viscous_norm_sq)
 from .errors import InsufficientPoints, OrderingViolation, Violation
@@ -94,11 +94,11 @@ def _vanishing_terms(traj: Trajectory, params) -> dict:
     max_dtu_e = 0.0
     max_v = 0.0
     for blk, _ in traj.blocks():
-        du = replace(blk.u, data=(blk.u.data[_NEXT] - blk.u.data[_PREV]) / dt)
+        nxt = blk.levels(_NEXT)
+        du = _rate(blk.levels(_PREV).u, nxt.u, dt)
         max_dtu_l2 = max(max_dtu_l2, float(np.max(l2_norm_sq(du))))
         max_dtu_e = max(max_dtu_e, float(np.max(elastic_norm_sq(du, params))))
-        max_v = max(max_v, float(np.max(l2_norm_sq(
-            replace(blk.v, data=blk.v.data[_NEXT])))))
+        max_v = max(max_v, float(np.max(l2_norm_sq(nxt.v))))
     return {
         "kinetic_b": params.rho_b * max_dtu_l2,
         "kinetic_f": params.rho_f * max_v,

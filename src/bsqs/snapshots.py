@@ -35,24 +35,29 @@ def write_snapshot(s: State, path, regime=None):
     physical parameters recorded in the header for provenance."""
     has_w = s.w is not None
     n1, n2 = s.u.lateral_shape
-    # each field's samples (n1, n2, ncomp, nodes), raveled into one buffer
-    payload = np.concatenate([inverse_transform(getattr(s, name)).ravel()
-                              for name, _ in _field_order(has_w)],
-                             dtype="<f8")
+    # each field's samples (n1, n2, ncomp, nodes), written one after another;
+    # the payload's checksum is chained over them, so no joined copy is made
+    parts = [np.ascontiguousarray(inverse_transform(getattr(s, name)),
+                                  dtype="<f8")
+             for name, _ in _field_order(has_w)]
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
     header = {
         "n1": n1, "n2": n2,
         "nb": s.u.mesh.ncells, "nf": s.v.mesh.ncells,
         "t": s.t,
         "fields": [[name, ncomp] for name, ncomp in _field_order(has_w)],
         "regime": dict(regime) if regime else {},
-        "crc32": zlib.crc32(payload) & 0xFFFFFFFF,
+        "crc32": crc & 0xFFFFFFFF,
     }
     blob = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<Q", len(blob)))
         f.write(blob)
-        f.write(payload)
+        for part in parts:
+            f.write(part)
 
 
 def read_snapshot(path) -> tuple[State, dict]:

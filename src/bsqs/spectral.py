@@ -136,7 +136,8 @@ def forward_transform(samples: np.ndarray, mesh: VerticalMesh, degree: int
     if samples.shape[3] != mesh.n_nodes(degree):
         raise DimensionMismatch(
             f"vertical axis {samples.shape[3]} != {mesh.n_nodes(degree)} nodes")
-    coeff = np.fft.rfftn(samples, axes=(1, 0)) / (n1 * n2)
+    coeff = np.fft.rfftn(samples, axes=(1, 0))
+    coeff /= n1 * n2
     mag = np.abs(coeff)
     coeff[mag <= roundoff_floor(n1, n2) * mag.max(axis=(0, 1))] = 0
     return SpectralField(mesh, degree, np.ascontiguousarray(coeff))
