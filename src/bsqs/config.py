@@ -78,10 +78,10 @@ class Discretization:
             v = getattr(self, name)
             if v < 2:
                 raise Violation(name, v, "must be >= 2")
-        if not self.dt > 0:
-            raise Violation("dt", self.dt, "must be > 0")
-        if self.t_end < self.dt:
-            raise Violation("t_end", self.t_end, "must be >= dt")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise Violation("dt", self.dt, "must be finite and > 0")
+        if not (np.isfinite(self.t_end) and self.t_end >= self.dt):
+            raise Violation("t_end", self.t_end, "must be finite and >= dt")
         return self
 
     @property

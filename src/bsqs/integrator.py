@@ -379,7 +379,7 @@ def run(cfg: RunConfig, data: InitialData, sources=None) -> Trajectory:
     sampled once at the levels' stamps (sums of dt) after initialize, or
     handed in from a run with the same grid, stamps and cfg.sources (a
     sweep's reference); energy.audit evaluates the diagnostics from them."""
-    d = cfg.disc
+    d = cfg.disc.validate()
     ratio = d.t_end / d.dt
     if abs(ratio - round(ratio)) > 1e-9:
         raise Violation("t_end", d.t_end, "t_end/dt must be an integer")

@@ -181,6 +181,15 @@ def test_solver_error_exit_code(tmp_path, capsys):
     assert "error[VIOLATION]" in capsys.readouterr().err
 
 
+def test_infinite_end_time_is_violation(tmp_path, capsys):
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(CONFIG.replace("time.t_end = 0.25", "time.t_end = inf"))
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+               "--quiet"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error[VIOLATION]")
+
+
 @pytest.mark.parametrize("command", ["run", "audit"])
 def test_summary_reports_the_driven_constant(tmp_path, capsys, command):
     """A driven run's summary line ends with the audit's driven constant

@@ -117,6 +117,11 @@ def test_discretization_validation():
         Discretization(dt=0.0).validate()
     with pytest.raises(Violation):
         Discretization(dt=0.5, t_end=0.25).validate()
+    # non-finite times: no step count follows from them
+    for dt, t_end in ((1e-2, float("inf")), (1e-2, float("nan")),
+                      (float("inf"), float("inf"))):
+        with pytest.raises(Violation):
+            Discretization(dt=dt, t_end=t_end).validate()
     Discretization().validate()
 
 
