@@ -13,6 +13,7 @@ lateral discretization is exact and studies isolate vertical/temporal error.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 import sympy as sp
@@ -60,7 +61,11 @@ def _div_tensor(sig):
     return [sum(sp.diff(sig[i][j], _XV[j]) for j in range(3)) for i in range(3)]
 
 
+@lru_cache(maxsize=None)
 def _lambdify(expr):
+    """expr as a numpy callable (x1, x2, x3, t=0) broadcasting its value to
+    the shape of the coordinates; made once per expression, since the loads
+    and the exact states of every step evaluate the same few."""
     fn = sp.lambdify((X1, X2, X3, T), expr, modules="numpy")
 
     def call(x1, x2, x3, t=0.0):
