@@ -30,7 +30,8 @@ from .fem1d import mass
 from .mode_assembly import (BandForm, Layout, _entries, darcy_split,
                             divergence_split, elastic_split, frame_split,
                             wave_frames)
-from .spectral import SpectralField, mode_table, mode_weights
+from .spectral import (SeparableField, SpectralField, mode_table,
+                       mode_weights, source_levels)
 
 TWO_PI = 2.0 * np.pi
 
@@ -58,7 +59,8 @@ def _value(out):
 
 def _frame_form(a: SpectralField, b: SpectralField, mats, turn: bool):
     """Sum over stored modes of weight * Re(z^H A(kap) y), for the profiles
-    z of a and y of b (a norm passes one field as both) and the real form
+    z of a and y of b (a norm passes one field as both; b may also have no
+    leading axes and is then paired with every level of a) and the real form
     A(kap) = sum over m of kap**m * mats[m] (mats: real CSR matrices on the
     component-major profile, the frame coefficients of mode_assembly's
     frame_split) at each mode's frame symbol kap = 2 pi |k|.
@@ -113,7 +115,9 @@ def _frame_form(a: SpectralField, b: SpectralField, mats, turn: bool):
     quad = 0.0
     for power, A in enumerate(mats):
         if A.nnz:
-            q = np.einsum("ij,ij->j", Pa, A @ Pb).reshape(-1, kap.size, 2)
+            q = (np.einsum("ij,ij->j", Pa, A @ Pb) if Pb.shape == Pa.shape
+                 else np.einsum("ilj,ij->lj", Pa.reshape(
+                     len(Pa), len(Da), -1), A @ Pb)).reshape(-1, kap.size, 2)
             quad = quad + kap**power * q.sum(axis=-1)
     every = np.zeros((Da.shape[0], w.size))
     every[:, live] = quad
@@ -283,9 +287,8 @@ def audit(traj, p: PhysicalParams) -> EnergyReport:
                                            level_terms).tolist()
             slip += slip_norm(prev, nxt, dt).tolist()
             if loads is not None:
-                work_inc += _source_work(prev, nxt, [
-                    None if f is None else replace(f, data=f.data[steps])
-                    for f in loads], dt).tolist()
+                work_inc += _source_work(prev, nxt, source_levels(
+                    loads, steps), dt).tolist()
         for k, vals in level_terms.items():
             terms[k] += vals.tolist()
 
@@ -312,10 +315,13 @@ def audit(traj, p: PhysicalParams) -> EnergyReport:
 def _source_work(prev, s, loads, dt):
     """(F_b, Dt u) + (S, p^{n+1}) + (F_f, v^{n+1}) at the implicit levels of
     the increments (prev, s), one value per level, for the level-stacked
-    sources (Fb, S, Ff) sampled at those levels."""
+    sources (Fb, S, Ff) sampled at those levels.  A separable source's
+    space field is paired with every level and the pairings scaled by its
+    weights."""
     du = None if loads[0] is None else _rate(prev.u, s.u, dt)
-    return sum(_mass_pairing(x, f) for x, f in zip((du, s.p_b, s.v), loads)
-               if f is not None)
+    return sum(f.weights * _mass_pairing(x, f.space)
+               if isinstance(f, SeparableField) else _mass_pairing(x, f)
+               for x, f in zip((du, s.p_b, s.v), loads) if f is not None)
 
 
 def _dual_source_quadrature(s0, p, loads, dt):
@@ -333,16 +339,23 @@ def _dual_source_quadrature(s0, p, loads, dt):
     reaches is factored once as one real band matrix, at the frame symbols
     (2 pi |k|, 0), in the node-interleaved order of the step's free DOFs,
     and applied to the frame-turned loads of all its modes and steps at
-    once."""
+    once.
+
+    Every term is quadratic in its load, so a separable source contributes
+    its space field's terms, as a load of one step, times the sum of its
+    squared weights."""
     n1, n2 = s0.u.lateral_shape
     mb, mf = s0.u.mesh, s0.v.mesh
     kap, _, _, w = _frame_modes(n1, n2)
     modes = mode_table(n1, n2)
     first, shell, c, s = wave_frames(modes)
-    Fb, S, Ff = loads
+    (Fb, sb), (S, sS), (Ff, sf) = (
+        (replace(f.space, data=f.space.data[None]),
+         float(f.weights @ f.weights))
+        if isinstance(f, SeparableField) else (f, 1.0) for f in loads)
     total = 0.0
     if Fb is not None:
-        total += dt * float(np.sum(l2_norm_sq(Fb)))
+        total += dt * float(np.sum(l2_norm_sq(Fb))) * sb
 
     def gram_loads(fld):
         """The loaded modes of a level-stacked source z (storage indices of
@@ -390,7 +403,7 @@ def _dual_source_quadrature(s0, p, loads, dt):
         form = BandForm(_entries(frame_split, darcy_split, mb),
                         mb.free_position(1), int(free.sum()))
         loaded, L = gram_loads(S)
-        total += dual_sum(loaded, L[:, free], form)
+        total += dual_sum(loaded, L[:, free], form) * sS
     if Ff is not None:
         # the fluid DOFs (v component-major, then p_f) lead the step's free
         # order; their block of it is the Stokes system's band order
@@ -418,7 +431,7 @@ def _dual_source_quadrature(s0, p, loads, dt):
         vpos = position[:nv]
         turned[:, vpos[vpos >= 0]] = L.reshape(loaded.size, nv, steps)[
             :, vpos >= 0]
-        total += dual_sum(loaded, turned, form)
+        total += dual_sum(loaded, turned, form) * sf
     return total
 
 

@@ -17,6 +17,7 @@ import ast
 import math
 import operator
 import re
+from functools import reduce
 
 import numpy as np
 
@@ -48,6 +49,19 @@ def _eval(node, env):
     return env[node.id] if kind is ast.Name else node.value
 
 
+def _factors(node):
+    """The operands of the multiplication chain at the top of a tree, in
+    evaluation order (a lone operand for any other tree)."""
+    out, todo = [], [node]
+    while todo:
+        node = todo.pop()
+        if type(node) is ast.BinOp and type(node.op) is ast.Mult:
+            todo += [node.right, node.left]
+        else:
+            out.append(node)
+    return out
+
+
 class Expression:
     """A compiled scalar expression over (x1, x2, x3, t)."""
 
@@ -66,7 +80,8 @@ class Expression:
         except (RecursionError, MemoryError):  # the parser's depth limits
             raise ParseError(line, "nested too deeply") from None
         # the whitelist; each number literal gets the float of its text
-        data, callees = src.encode(), set()
+        self._src = data = src.encode()
+        callees = set()
         for node in ast.walk(self.ast):
             kind = type(node)
             if kind is ast.Constant:
@@ -106,6 +121,38 @@ class Expression:
             raise ParseError(self.line, "non-finite value (inf or nan)")
         return np.broadcast_to(val, np.broadcast_shapes(
             np.shape(x1), np.shape(x2), np.shape(x3))).astype(float) if np.isscalar(val) else val
+
+    def separate(self):
+        """The expression as a product f(x1, x2, x3) * g(t) of the factors of
+        its top multiplication chain: (f, g), f the product of the factors
+        without t (constants among them) and g of the others, or None when
+        t does not appear; None when a factor holds both t and a coordinate.
+        f and g are Expressions on the same line, with the value checks of
+        __call__; f * g is the expression's value up to roundoff, so either
+        may fail a check that the value passes (their product overflow, say)
+        and not the other way round."""
+        space, time = [], []
+        for node in _factors(self.ast):
+            names = {n.id for n in ast.walk(node) if type(n) is ast.Name}
+            if "t" not in names:
+                space.append(node)
+            elif names.isdisjoint(("x1", "x2", "x3")):
+                time.append(node)
+            else:
+                return None
+        return self._product(space), self._product(time) if time else None
+
+    def _product(self, nodes):
+        """The product of some of the tree's nodes, in the order given, as
+        an Expression whose text is theirs, each in parentheses."""
+        part = object.__new__(Expression)
+        part.ast = reduce(lambda a, b: ast.BinOp(a, ast.Mult(), b), nodes) \
+            if nodes else ast.Constant(1.0)
+        part.text = " * ".join(
+            f"({self._src[n.col_offset:n.end_col_offset].decode()})"
+            for n in nodes) or "1"
+        part.line, part._src = self.line, self._src
+        return part
 
     def __repr__(self):
         return f"Expression({self.text!r})"

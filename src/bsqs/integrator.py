@@ -20,8 +20,9 @@ from .fem1d import VerticalMesh, mass
 from .mode_assembly import (BandForm, ModeOperator, StepCoefficients, _coo,
                             build_step_rhs, divergence_modes, mass_modes,
                             mode_symbols, wave_frames)
-from .spectral import (SpectralField, forward_transform, mode_table,
-                       sample_function, sample_sources, zero_field)
+from .spectral import (SeparableField, SpectralField, forward_transform,
+                       mode_table, sample_function, sample_sources,
+                       sample_stacked, source_levels, zero_field)
 
 
 @dataclass
@@ -108,7 +109,8 @@ class Trajectory:
     """A run's states, stored once: `stacked` is one State whose fields carry
     the time levels on a leading axis and whose t holds their times;
     `sources` the level-stacked (F_b, S, F_f) that drove levels 1..n (None
-    for an absent source), or None for a source-free run."""
+    for an absent source, a SeparableField for one that separates in space
+    and time), or None for a source-free run."""
 
     stacked: State
     sources: tuple | None
@@ -217,9 +219,11 @@ class Simulator:
 
     def step(self, s: State, mode_sources=None, mode_loads=None,
              out: State | None = None) -> State:
-        """One implicit step.  mode_sources: (Fb, S, Ff) SpectralFields or
-        None; mode_loads: (Lb, LS, Lf) pre-integrated load SpectralFields
-        (interface defects included, see verification.mode_loads) or None.
+        """One implicit step.  mode_sources: (Fb, S, Ff) SpectralFields, or
+        SeparableFields of one step (the live modes' rows of the space field
+        are scaled by the weight), or None; mode_loads: (Lb, LS, Lf)
+        pre-integrated load SpectralFields (interface defects included, see
+        verification.mode_loads) or None.
 
         The live modes' u, p_b, v, p_f (and w when rho_b > 0) are written
         into `out`, whose other modes must hold zeros (they are never
@@ -240,8 +244,15 @@ class Simulator:
             a, b, c = fields
             return _by_mode(a), scalar(b), _by_mode(c)
 
+        # a separable source steps on its space field, and the rows picked
+        # below are scaled by its weight
+        fields = mode_sources or (None,) * 3
+        weights = [f.weights if isinstance(f, SeparableField) else None
+                   for f in fields]
         prior = (_by_mode(s.u), _by_mode(s.w), scalar(s.p_b), _by_mode(s.v))
-        sources, loads = triple(mode_sources), triple(mode_loads)
+        sources = triple([f if w is None else f.space
+                          for f, w in zip(fields, weights)])
+        loads = triple(mode_loads)
         live = np.flatnonzero(_rows_with_data(*prior, *sources, *loads))
         if live.size == 0:
             return out
@@ -249,9 +260,11 @@ class Simulator:
         def pick(arrays):
             return tuple(None if a is None else a[live] for a in arrays)
 
+        sources = tuple(a if w is None else w * a
+                        for a, w in zip(pick(sources), weights))
         rhs = build_step_rhs(
             *pick((self.kap1, self.kap2)), self.coeffs, prior=pick(prior),
-            sources=pick(sources), loads=pick(loads))
+            sources=sources, loads=pick(loads))
 
         # a live mode with a zero right-hand side has the zero solution; the
         # others are solved in the frame of their wave vector, one band solve
@@ -358,19 +371,15 @@ def initialize(cfg: RunConfig, data: InitialData,
 
 
 def _stacked_sources(sources, s0: State, times):
-    """(F_b, S, F_f) sampled at each of `times` on the grid of the state s0,
-    written straight into level-stacked fields (None for an absent source)."""
+    """(F_b, S, F_f) at each of `times` on the grid of the state s0, each None
+    when absent and else as spectral.sample_stacked gives it."""
     n1, n2 = s0.u.lateral_shape
-    out = [None] * 3
-    for n, t in enumerate(times):
-        fields = sample_sources(sources, n1, n2, s0.u.mesh, s0.v.mesh, t)
-        for i, f in enumerate(fields):
-            if f is not None:
-                if out[i] is None:
-                    out[i] = replace(f, data=np.empty((len(times),)
-                                                      + f.data.shape, complex))
-                out[i].data[n] = f.data
-    return tuple(out)
+    mb, mf = s0.u.mesh, s0.v.mesh
+    return tuple(
+        None if fn is None or not callable(fn) and all(c is None for c in fn)
+        else sample_stacked(fn, n1, n2, mesh, degree, times)
+        for fn, mesh, degree in ((sources.F_b, mb, 2), (sources.S, mb, 1),
+                                 (sources.F_f, mf, 2)))
 
 
 def run(cfg: RunConfig, data: InitialData, sources=None) -> Trajectory:
@@ -399,9 +408,8 @@ def run(cfg: RunConfig, data: InitialData, sources=None) -> Trajectory:
     if sources is None and not cfg.sources.is_zero():
         sources = _stacked_sources(cfg.sources, s, times[1:].tolist())
     for n in range(1, d.n_steps + 1):
-        s = sim.step(s, mode_sources=None if sources is None else [
-            None if f is None else replace(f, data=f.data[n - 1])
-            for f in sources], out=stacked.levels(n))
+        s = sim.step(s, mode_sources=None if sources is None
+                     else source_levels(sources, n - 1), out=stacked.levels(n))
     return Trajectory(stacked, sources)
 
 

@@ -11,13 +11,14 @@ wavenumbers are represented with the positive sign, matching wavenumber().
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ParseError
+from .exprs import Expression
 from .fem1d import VerticalMesh
 
 
@@ -136,10 +137,20 @@ def forward_transform(samples: np.ndarray, mesh: VerticalMesh, degree: int
     if samples.shape[3] != mesh.n_nodes(degree):
         raise DimensionMismatch(
             f"vertical axis {samples.shape[3]} != {mesh.n_nodes(degree)} nodes")
-    coeff = np.fft.rfftn(samples, axes=(1, 0))
+    # a component with no nonzero sample has exactly zero coefficients: only
+    # the others are transformed and chopped
+    filled = samples.any(axis=(0, 1, 3))
+    full = (n1 // 2 + 1, n2) + samples.shape[2:]
+    if not filled.any():
+        return SpectralField(mesh, degree, np.zeros(full, complex))
+    coeff = np.fft.rfftn(samples if filled.all() else samples[:, :, filled],
+                         axes=(1, 0))
     coeff /= n1 * n2
     mag = np.abs(coeff)
     coeff[mag <= roundoff_floor(n1, n2) * mag.max(axis=(0, 1))] = 0
+    if not filled.all():
+        coeff, part = np.zeros(full, complex), coeff
+        coeff[:, :, filled] = part
     return SpectralField(mesh, degree, np.ascontiguousarray(coeff))
 
 
@@ -195,6 +206,77 @@ def sample_sources(sources, n1, n2, mb, mf, t):
             field(sources.S, mb, 1) if sources.S is not None else None,
             field(sources.F_f, mf, 2)
             if any(c is not None for c in sources.F_f) else None)
+
+
+@dataclass
+class SeparableField:
+    """A level-stacked source that separates in space and time: weights[n] *
+    space at level n, for one SpectralField `space` (no level axis) and the
+    time factor's values at the levels' stamps, `weights` (levels,).  The
+    source of one step has a scalar weight."""
+
+    space: SpectralField
+    weights: np.ndarray
+
+
+def source_levels(sources, sl):
+    """The levels `sl` of level-stacked sources (SpectralFields with a level
+    axis, SeparableFields, or None): a slice keeps the level axis, an index
+    drops it."""
+    return [None if f is None
+            else replace(f, weights=f.weights[sl])
+            if isinstance(f, SeparableField) else replace(f, data=f.data[sl])
+            for f in sources]
+
+
+def sample_stacked(fn, n1, n2, mesh, degree, times):
+    """A source field (as sample_function takes it) at each of `times`,
+    transformed: a SeparableField, sampled and transformed once, when every
+    component is None or an Expression that separates (Expression.separate)
+    and all of those share one time factor; else a level-stacked
+    SpectralField, sampled and transformed at each stamp.  A source whose
+    factor fails a value check of Expression.__call__, or whose factors'
+    largest magnitudes have a product that is not finite, is sampled at each
+    stamp, where those checks apply to its value."""
+    fld = _separable(fn, n1, n2, mesh, degree, times)
+    if fld is not None:
+        return fld
+    for n, t in enumerate(times):
+        f = forward_transform(sample_function(fn, n1, n2, mesh, degree, t=t),
+                              mesh, degree)
+        if fld is None:
+            fld = replace(f, data=np.empty((len(times),) + f.data.shape,
+                                           complex))
+        fld.data[n] = f.data
+    return fld
+
+
+def _separable(fn, n1, n2, mesh, degree, times):
+    """The SeparableField of sample_stacked, or None where it samples at
+    each stamp."""
+    comps = [fn] if callable(fn) else list(fn)
+    space, time = [], set()
+    for f in comps:
+        parts = (None, None) if f is None else (
+            f.separate() if isinstance(f, Expression) else None)
+        if parts is None:
+            return None
+        space.append(parts[0])
+        if f is not None:
+            time.add(parts[1])
+    if len(time) != 1:
+        return None
+    (g,) = time
+    try:
+        samples = sample_function(space, n1, n2, mesh, degree)
+        weights = (np.ones(len(times)) if g is None
+                   else g(0.0, 0.0, 0.0, np.asarray(times, dtype=float)))
+    except ParseError:
+        return None
+    if not np.isfinite(float(max(samples.max(), -samples.min()))
+                       * float(np.abs(weights).max())):
+        return None
+    return SeparableField(forward_transform(samples, mesh, degree), weights)
 
 
 def interface_trace(field: SpectralField) -> np.ndarray:

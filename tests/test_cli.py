@@ -245,8 +245,11 @@ def test_audit_of_a_nearly_incompressible_solid(tmp_path):
     "exp(1000)*x3",
     "1/(x1-x1)",
     "(t-2)^0.5",
+    # each factor is finite, their product is not
+    "1e200*x3*exp(500*(1+t))",
 ], ids=["parens-300", "minus-5000", "sum-100000", "sum-2000", "div-zero",
-        "overflow", "complex", "nan", "inf-exp", "inf-div", "complex-t"])
+        "overflow", "complex", "nan", "inf-exp", "inf-div", "complex-t",
+        "inf-product"])
 def test_too_deep_expression_is_parse_error(tmp_path, capsys, expr):
     cfg = tmp_path / "deep.cfg"
     cfg.write_text(CONFIG + f"sources.S = 0.001*({expr})\n")
@@ -255,6 +258,21 @@ def test_too_deep_expression_is_parse_error(tmp_path, capsys, expr):
     assert rc == 2
     line = CONFIG.count("\n") + 1
     assert capsys.readouterr().err.startswith(f"error[PARSE]: line {line}:")
+
+
+def test_complex_time_factor_is_parse_error(tmp_path, capsys):
+    """(-1)^(16 t) is complex at the stamp t = 1/64: the time factor fails
+    its value check, the source is sampled at each stamp instead, and the
+    value's own check reports it."""
+    cfg = tmp_path / "complex.cfg"
+    cfg.write_text(DRIVEN_README_CONFIG
+                   + "sources.Ff2 = x3*(1-x3)*(-1)^(16*t)\n")
+    rc = main(["audit", "--config", str(cfg), "--out", str(tmp_path / "o"),
+               "--quiet"])
+    assert rc == 2
+    line = DRIVEN_README_CONFIG.count("\n") + 1
+    assert capsys.readouterr().err.startswith(
+        f"error[PARSE]: line {line}: complex value")
 
 
 def test_bad_usage_exit_code():

@@ -89,3 +89,50 @@ def test_nested_calls():
     e = Expression("exp(-(x1 - 0.5)^2)")
     assert e(0.5, 0, 0) == pytest.approx(1.0)
     assert e(1.5, 0, 0) == pytest.approx(math.exp(-1.0))
+
+
+@pytest.mark.parametrize("text, space, time", [
+    ("0.5*sin(2*pi*x1)*(1-x3)*cos(4*pi*t)", "(0.5) * (sin(2*pi*x1)) * (1-x3)",
+     "(cos(4*pi*t))"),
+    ("-2*x3*(1+sin(t))*exp(-t)", "(-2) * (x3)", "(1+sin(t)) * (exp(-t))"),
+    ("3*(x1*t)*x2", "(3) * (x1) * (x2)", "(t)"),    # parentheses flattened
+    ("x3^2", "(x3**2)", None),
+    ("t", "1", "(t)"),
+])
+def test_separate_splits_the_top_product(text, space, time):
+    """The factors of the top multiplication chain without t, constants
+    included, form f and the others g; f * g is the value to roundoff."""
+    f, g = Expression(text, line=5).separate()
+    assert f.text == space and f.line == 5
+    assert (g is None and time is None) or g.text == time
+    x1, x2, x3 = np.meshgrid([0.1, 0.4], [0.2, 0.7], [0.0, 0.5, 1.0],
+                             indexing="ij")
+    t = 0.3
+    value = f(x1, x2, x3) * (1.0 if g is None else g(0.0, 0.0, 0.0, t))
+    assert value == pytest.approx(Expression(text)(x1, x2, x3, t), rel=1e-15)
+
+
+@pytest.mark.parametrize("text", ["sin(2*pi*(x1 - t))*(1-x3)", "x3 + t",
+                                  "x3/t", "x1*exp(x3*t)"])
+def test_separate_refuses_a_factor_of_both(text):
+    assert Expression(text).separate() is None
+
+
+def test_separate_factor_keeps_the_value_checks():
+    """A factor has the checks of the expression: (-1)^(16 t) is not
+    finite at t = 1/64 in numpy and complex for a float t."""
+    _, g = Expression("x3*(1-x3)*(-1)^(16*t)", line=9).separate()
+    for t in (1 / 64, np.array([1 / 64, 2 / 64])):
+        with pytest.raises(ParseError) as exc:
+            g(0.0, 0.0, 0.0, t)
+        assert exc.value.line == 9
+
+
+def test_separate_a_long_chain():
+    """Splitting walks the chain without recursion; a chain too deep to
+    evaluate fails in evaluation as the expression does."""
+    text = "*".join(["x1"] * 2000) + "*t"
+    f, g = Expression(text).separate()
+    assert g.text == "(t)"
+    with pytest.raises(ParseError):
+        f(1.0, 0.0, 0.0)

@@ -240,6 +240,94 @@ sources.Ff1 = 0.2*cos(2*pi*x2)*(1+x3)*exp(-t)
     assert large <= 1.5 * small, f"peak {small} B -> {large} B"
 
 
+_DRIVEN = README_RUN + """
+physics.rho_b = 1.0
+physics.rho_f = 1.0
+sources.Fb3 = 0.5*sin(2*pi*x1)*cos(2*pi*x2)*(1-x3)*cos(4*pi*t)
+sources.S = 0.3*cos(2*pi*x2)*x3*(1+sin(2*pi*t))
+sources.Ff1 = 0.2*cos(2*pi*x2)*(1+x3)*exp(-t)
+"""
+
+
+def _as_lambdas(sources):
+    """The same sources as plain callables, which are sampled at each
+    stamp."""
+    def wrap(e):
+        return None if e is None else (
+            lambda x1, x2, x3, t=0.0: e(x1, x2, x3, t))
+
+    return SourceSpec(F_b=tuple(map(wrap, sources.F_b)), S=wrap(sources.S),
+                      F_f=tuple(map(wrap, sources.F_f)))
+
+
+def test_separable_sources_match_the_per_stamp_path():
+    """The driven data's Expression sources separate: each is sampled and
+    transformed once and scaled by its time factor at every stamp.  The
+    same sources as lambdas are sampled and transformed at each stamp.
+    Both give the same energy.csv columns to 1e-13 of each column's largest
+    magnitude, and the same driven constant to 1e-12: FFT(g f) and
+    g FFT(f) differ at roundoff only."""
+    from bsqs.snapshots import energy_report_columns
+    from bsqs.spectral import SeparableField, SpectralField
+    base = parse_config(_DRIVEN)
+    base = replace(base, disc=replace(base.disc, nb=8, nf=8,
+                                      t_end=8 * base.disc.dt))
+    reports = []
+    for cfg, kind in ((base, SeparableField),
+                      (replace(base, sources=_as_lambdas(base.sources)),
+                       SpectralField)):
+        traj = run(cfg, InitialData.from_plan(cfg))
+        assert all(type(f) is kind for f in traj.sources)
+        reports.append(en.audit(traj, cfg.params))
+    split, stamped = reports
+    a, b = energy_report_columns(split), energy_report_columns(stamped)
+    assert a.keys() == b.keys()
+    for key in a:
+        scale = max(abs(x) for x in b[key])
+        assert np.allclose(a[key], b[key], rtol=0.0, atol=1e-13 * scale), key
+    assert split.driven_constant == pytest.approx(stamped.driven_constant,
+                                                  rel=1e-12, abs=0.0)
+
+
+def test_separable_sources_do_not_grow_with_the_steps():
+    """A separable source is stored once, with one weight per step: its
+    trajectory storage is the same bytes at 8 and 32 steps, apart from the
+    weights."""
+    from bsqs.spectral import SeparableField
+    base = parse_config(_DRIVEN)
+
+    def stored(steps):
+        cfg = replace(base, disc=replace(base.disc,
+                                         t_end=steps * base.disc.dt))
+        sources = run(cfg, InitialData.from_plan(cfg)).sources
+        assert all(isinstance(f, SeparableField) for f in sources)
+        assert [f.weights.shape for f in sources] == [(steps,)] * 3
+        return sum(f.space.data.nbytes for f in sources)
+
+    assert stored(8) == stored(32)
+
+
+def test_non_separable_source_runs_and_audits():
+    """sin(2 pi (x1 - t)) (1 - x3) has a factor of both x1 and t: it is
+    sampled and transformed at each stamp, next to the separable S, and the
+    run and its audit go through."""
+    cfg = parse_config(_DRIVEN.replace(
+        "sources.Fb3 = 0.5*sin(2*pi*x1)*cos(2*pi*x2)*(1-x3)*cos(4*pi*t)",
+        "sources.Fb3 = sin(2*pi*(x1 - t))*(1-x3)"))
+    traj = run(cfg, InitialData.from_plan(cfg))
+    Fb, S, _ = traj.sources
+    assert Fb.data.shape[0] == cfg.disc.n_steps
+    assert S.weights.shape == (cfg.disc.n_steps,)
+    # the source travels in x1: its k1 = 1 coefficients turn by
+    # exp(-2 pi i t), so no real weight scales the first level to the last
+    t = traj.times
+    turn = np.exp(-2j * np.pi * (t[-1] - t[1]))
+    assert np.allclose(Fb.data[-1], turn * Fb.data[0], rtol=0, atol=1e-14)
+    assert abs(turn.imag) > 0.1
+    rep = en.audit(traj, cfg.params)
+    assert np.isfinite(rep.driven_constant) and rep.driven_constant > 0
+
+
 def test_step_solves_only_modes_with_nonzero_rhs(monkeypatch):
     # source-free data in the k1 = 1 modes: every other mode's right-hand
     # side stays zero, and a zero one is never solved.

@@ -144,6 +144,32 @@ def test_zero_profile_stays_zero():
     assert fld.data[1, 0, 0, 0] == pytest.approx(-0.5j)
 
 
+def test_zero_components_are_not_transformed(monkeypatch, rng):
+    """A component with no nonzero sample costs no FFT: only the filled
+    components reach rfftn, and their coefficients are the bits of a
+    transform of every component.  All-zero samples call no rfftn."""
+    samples = np.zeros((8, 8, 3, MESH.n_nodes(2)))
+    samples[:, :, 1] = rng.standard_normal((8, 8, MESH.n_nodes(2)))
+    full = np.fft.rfftn(samples, axes=(1, 0)) / 64
+    shapes = []
+    rfftn = np.fft.rfftn
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return rfftn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfftn", counted)
+    fld = forward_transform(samples, MESH, 2)
+    assert shapes == [(8, 8, 1, MESH.n_nodes(2))]
+    assert not fld.data[:, :, [0, 2]].any()
+    mag = np.abs(full[:, :, 1])
+    kept = mag > roundoff_floor(8, 8) * mag.max(axis=(0, 1))
+    assert np.array_equal(fld.data[:, :, 1], np.where(kept, full[:, :, 1], 0))
+    shapes.clear()
+    assert not forward_transform(np.zeros_like(samples), MESH, 2).data.any()
+    assert shapes == []
+
+
 def test_forward_scalar_promotes_component_axis(rng):
     samples = rng.standard_normal((4, 4, MESH.n_nodes(1)))
     fld = forward_transform(samples, MESH, 1)
