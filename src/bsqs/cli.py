@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: run, sweep, verify, audit, greens-check.  Exit status: 0 on
+Commands: run, sweep, verify, audit, greens-check.  Exit status: 0 on
 success, 1 on usage errors, 2 on solver or validation failures (reported to
 standard error as ``error[CODE]: message``).
 """
@@ -21,17 +21,19 @@ from .integrator import InitialData, run
 from .limit_lab import SweepSpec, estimate_rate, run_sweep
 
 
+# the commands that read a configuration file
+_CONFIGURED = ("run", "sweep", "audit")
+
+
 def _build_parser():
     p = argparse.ArgumentParser(prog="bsqs", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
-    for name in ("run", "sweep", "verify", "audit", "greens-check"):
-        sp = sub.add_parser(name)
-        if name in ("run", "sweep", "audit"):
-            sp.add_argument("--config", required=True)
-        sp.add_argument("--out", required=True)
-        sp.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility; has no effect")
-        sp.add_argument("--quiet", action="store_true")
+    p.add_argument("command", choices=tuple(_COMMANDS))
+    p.add_argument("--config",
+                   help="configuration file (run, sweep and audit only)")
+    p.add_argument("--out", required=True)
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted for compatibility; has no effect")
+    p.add_argument("--quiet", action="store_true")
     return p
 
 
@@ -156,6 +158,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command in _CONFIGURED and args.config is None:
+            parser.error(f"{args.command} requires --config")
+        if args.command not in _CONFIGURED and args.config is not None:
+            parser.error(f"{args.command} takes no --config")
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:

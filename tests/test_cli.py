@@ -275,6 +275,20 @@ def test_complex_time_factor_is_parse_error(tmp_path, capsys):
         f"error[PARSE]: line {line}: complex value")
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "audit", "verify",
+                                     "greens-check"])
+def test_config_flag_follows_the_command(config_file, tmp_path, capsys,
+                                         command):
+    """run, sweep and audit need --config; verify and greens-check take
+    none.  Either misuse is a usage error that names the command."""
+    needs = command in ("run", "sweep", "audit")
+    argv = [command, "--out", str(tmp_path / "o"), "--quiet"]
+    if not needs:
+        argv += ["--config", str(config_file)]
+    assert main(argv) == 1
+    assert command in capsys.readouterr().err
+
+
 def test_bad_usage_exit_code():
     assert main([]) == 1
     assert main(["frobnicate"]) == 1
