@@ -9,6 +9,7 @@ solved as such with no regularization.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -93,12 +94,12 @@ class State:
         leading axis and whose t is the array of their times, as views: a
         slice keeps the axis, an index drops it (and t is a float)."""
         t = self.t[sl]
-        return State(t if np.ndim(t) else float(t),
-                     *(None if f is None else replace(f, data=f.data[sl])
-                       for f in self.fields()))
+        return State(t if np.ndim(t) else float(t), *(
+            None if f is None else SpectralField(f.mesh, f.degree, f.data[sl])
+            for f in self.fields()))
 
 
-# Time levels per diagnostics block.  The norms of a block are one product
+# Increments per diagnostics block.  The norms of a block are one product
 # per form term, so the diagnostics' temporaries grow with this, not with the
 # trajectory length.
 _BLOCK = 8
@@ -126,13 +127,14 @@ class Trajectory:
         return self.stacked.t.tolist()
 
     def blocks(self):
-        """The levels in blocks of _BLOCK, each with the level before it so
-        that every increment (n - 1, n) lies in one block: yields (block,
-        slice of the block's own levels), the block as views of `stacked`."""
-        for start in range(0, len(self.stacked.t), _BLOCK):
-            lo = max(start - 1, 0)
-            yield (self.stacked.levels(slice(lo, start + _BLOCK)),
-                   slice(start - lo, None))
+        """The levels in blocks of _BLOCK increments, each block starting at
+        the level that ends the one before, so that every increment
+        (n - 1, n) lies in one block: yields (block, slice of the block's
+        own levels), the block as views of `stacked`.  A block's own levels
+        are all of its levels but a shared first one."""
+        for lo in range(0, max(len(self.stacked.t) - 1, 1), _BLOCK):
+            yield (self.stacked.levels(slice(lo, lo + _BLOCK + 1)),
+                   slice(1 if lo else 0, None))
 
 
 def _zero_state(cfg: RunConfig, t=0.0) -> State:
@@ -186,6 +188,29 @@ def _rows_with_data(*arrays):
     return live
 
 
+class _Plan:
+    """What a step reads of its live set alone, formed once per set: the
+    live rows (stored modes, ascending) with their symbols (kap1, kap2) and
+    storage indices (k1i, j); the positions of the modes with k2 != 0, which
+    are turned into their frames (c, s); and per distinct |k|^2 the
+    positions of its modes, the stored index of the first and their
+    ModeIndex list."""
+
+    def __init__(self, sim, live):
+        self.live = live
+        self.kap1, self.kap2 = sim.kap1[live], sim.kap2[live]
+        self.k1i, self.j = np.divmod(live, sim.cfg.disc.n2)
+        self.turned = np.flatnonzero(sim.sin[live] != 0)
+        self.c = sim.cos[live[self.turned]]
+        self.s = sim.sin[live[self.turned]]
+        groups = {}
+        for i, g in enumerate(sim.shell[live].tolist()):
+            groups.setdefault(g, []).append(i)
+        self.groups = [(np.array(pos), int(live[pos[0]]),
+                        [sim.modes[i] for i in live[pos].tolist()])
+                       for pos in groups.values()]
+
+
 class Simulator:
     """Advances all modes of a step at once for one (params, grid, dt).
 
@@ -196,7 +221,9 @@ class Simulator:
     wave vector and solved with one band LU per distinct |k|^2, which is
     factored the first time a live mode needs it.  `ops` gives each stored
     mode's ModeOperator (factoring it on lookup); modes with one |k|^2
-    share it.
+    share it.  What a step reads of its live set alone is formed once per
+    live set (one plan, rebuilt when the set changes), and a separable
+    source's M f once per source field.
 
     `threads` is accepted for compatibility and ignored: a step is a few
     array products over the live modes plus one multi-column band solve per
@@ -212,18 +239,57 @@ class Simulator:
         self.kap1, self.kap2 = mode_symbols(self.modes)
         self.coeffs = StepCoefficients(cfg.params, self.mb, self.mf,
                                        cfg.disc.dt, steady=steady)
-        first, shell, self.cos, self.sin = wave_frames(self.modes)
-        self.shell = shell.tolist()
-        self.ops = ShellOperators(self.modes, first.tolist(), self.shell,
-                                  self.coeffs)
+        first, self.shell, self.cos, self.sin = wave_frames(self.modes)
+        self.ops = ShellOperators(self.modes, first.tolist(),
+                                  self.shell.tolist(), self.coeffs)
+        self._plan = None
+        self._separable = [None] * 3
+
+    def _plan_of(self, live):
+        plan = self._plan
+        if plan is None or plan.live is not live and not np.array_equal(
+                plan.live, live):
+            self._plan = _Plan(self, live)
+        return self._plan
+
+    def separable_load(self, slot, fld: SeparableField):
+        """(rows, unit) of the separable source `fld` in `slot` (0: F_b,
+        1: S, 2: F_f): the stored modes where its space field f is nonzero,
+        and the load M f on them, mode-major as build_step_rhs adds loads.
+        Formed once per space field; a step's load is its weight times
+        unit."""
+        cached = self._separable[slot]
+        if cached is None or cached[0] is not fld.space:
+            f = _by_mode(fld.space)
+            rows = np.flatnonzero(_rows_with_data(f))
+            mesh, degree = ((self.mb, 2), (self.mb, 1), (self.mf, 2))[slot]
+            f = f[rows] if slot != 1 else f[rows, 0]
+            cached = (fld.space, rows, mass_modes(f, mesh, degree))
+            self._separable[slot] = cached
+        return cached[1:]
+
+    def source_rows(self, sources):
+        """The stored modes where some level of the level-stacked sources
+        (as Trajectory.sources holds them) has a nonzero entry, ascending."""
+        n = len(self.modes)
+        rows = [self.separable_load(slot, f)[0]
+                if isinstance(f, SeparableField) else np.flatnonzero(
+                    f.data.reshape(len(f.data), n, -1).any(axis=(0, 2)))
+                for slot, f in enumerate(sources) if f is not None]
+        return np.unique(np.concatenate(rows)) if rows else np.arange(0)
 
     def step(self, s: State, mode_sources=None, mode_loads=None,
-             out: State | None = None) -> State:
+             out: State | None = None, live=None) -> State:
         """One implicit step.  mode_sources: (Fb, S, Ff) SpectralFields, or
-        SeparableFields of one step (the live modes' rows of the space field
-        are scaled by the weight), or None; mode_loads: (Lb, LS, Lf)
-        pre-integrated load SpectralFields (interface defects included, see
-        verification.mode_loads) or None.
+        SeparableFields of one step (M f of the space field, formed once,
+        enters as a load scaled by the weight), or None; mode_loads:
+        (Lb, LS, Lf) pre-integrated load SpectralFields (interface defects
+        included, see verification.mode_loads) or None.
+
+        live: the stored modes to step, ascending; it must hold every mode
+        where the prior (u, w, p_b, v), a source's space field or a load
+        has a nonzero entry, and may hold more.  By default those modes are
+        found by scanning the arrays.
 
         The live modes' u, p_b, v, p_f (and w when rho_b > 0) are written
         into `out`, whose other modes must hold zeros (they are never
@@ -244,69 +310,97 @@ class Simulator:
             a, b, c = fields
             return _by_mode(a), scalar(b), _by_mode(c)
 
-        # a separable source steps on its space field, and the rows picked
-        # below are scaled by its weight
         fields = mode_sources or (None,) * 3
-        weights = [f.weights if isinstance(f, SeparableField) else None
-                   for f in fields]
+        separable = [self.separable_load(slot, f)
+                     if isinstance(f, SeparableField) else None
+                     for slot, f in enumerate(fields)]
         prior = (_by_mode(s.u), _by_mode(s.w), scalar(s.p_b), _by_mode(s.v))
-        sources = triple([f if w is None else f.space
-                          for f, w in zip(fields, weights)])
+        sources = triple([None if isinstance(f, SeparableField) else f
+                          for f in fields])
         loads = triple(mode_loads)
-        live = np.flatnonzero(_rows_with_data(*prior, *sources, *loads))
+        if live is None:
+            mask = _rows_with_data(*prior, *sources, *loads)
+            for part in separable:
+                if part is not None:
+                    mask[part[0]] = True
+            live = np.flatnonzero(mask)
         if live.size == 0:
             return out
+        plan = self._plan_of(live)
 
         def pick(arrays):
             return tuple(None if a is None else a[live] for a in arrays)
 
-        sources = tuple(a if w is None else w * a
-                        for a, w in zip(pick(sources), weights))
-        rhs = build_step_rhs(
-            *pick((self.kap1, self.kap2)), self.coeffs, prior=pick(prior),
-            sources=sources, loads=pick(loads))
+        loads = list(pick(loads))
+        for slot, (f, part) in enumerate(zip(fields, separable)):
+            if part is not None:
+                rows, unit = part
+                load = np.zeros((live.size,) + unit.shape[1:], complex)
+                load[np.searchsorted(live, rows)] = f.weights * unit
+                loads[slot] = load if loads[slot] is None else (
+                    loads[slot] + load)
+        prior = pick(prior)
+        rhs = build_step_rhs(plan.kap1, plan.kap2, self.coeffs, prior=prior,
+                             sources=pick(sources), loads=loads)
 
         # a live mode with a zero right-hand side has the zero solution; the
         # others are solved in the frame of their wave vector, one band solve
         # per |k|^2 (a mode with k2 = 0 is in its frame already)
         lay = self.coeffs.layout
-        rows = np.flatnonzero(rhs.any(axis=1))
-        turned = rows[self.sin[live[rows]] != 0]
-        c, sn = self.cos[live[turned]], self.sin[live[turned]]
-        if turned.size:
-            rhs[turned] = lay.rotate(rhs[turned], c, sn)
-        groups = {}
-        for i in rows.tolist():
-            groups.setdefault(self.shell[live[i]], []).append(i)
+        nonzero = rhs.any(axis=1)
+        if plan.turned.size:
+            rhs[plan.turned] = lay.rotate(rhs[plan.turned], plan.c, plan.s)
         x = np.zeros_like(rhs)
-        for group in groups.values():
-            stored = live[group].tolist()
-            x[group] = self.ops[stored[0]].step(
-                rhs[group].T, [self.modes[i] for i in stored])[0].T
-        if turned.size:
-            x[turned] = lay.rotate(x[turned], c, -sn)
+        for pos, first, modes in plan.groups:
+            keep = nonzero[pos]
+            if not keep.all():
+                if not keep.any():
+                    continue
+                pos = pos[keep]
+                modes = [m for m, k in zip(modes, keep) if k]
+            x[pos] = self.ops[first].step(rhs[pos].T, modes)[0].T
+        if plan.turned.size:
+            x[plan.turned] = lay.rotate(x[plan.turned], plan.c, -plan.s)
 
         # advanced indexing writes in place whatever the strides of `out`
-        k1i, j = np.divmod(live, d.n2)
+        k1i, j = plan.k1i, plan.j
         u, p, v, pf = lay.unpack(x)
         out.u.data[k1i, j] = u
         out.p_b.data[k1i, j, 0] = p
         out.v.data[k1i, j] = v
         out.p_f.data[k1i, j, 0] = pf
         if cfg.params.rho_b > 0:
-            out.w.data[k1i, j] = (u - prior[0][live]) / d.dt
+            out.w.data[k1i, j] = (u - prior[0]) / d.dt
         return out
 
 
+@lru_cache(maxsize=None)
+def _pressure_projection(mb: VerticalMesh):
+    """The BandForm of the pressure mass matrix on the free pressure DOFs of
+    mb (in node order) and its band LU, formed once per mesh; shared."""
+    form = BandForm([_coo(mass(mb, 1))], mb.free_position(1),
+                    int(mb.free_mask(1).sum()))
+    return form, form.factor(form.values[0], None)
+
+
+def _probes(p) -> bool:
+    """Whether initialize harvests part of the initial state from a probe
+    step: the pressure when c0 = 0, the fluid state when rho_f = 0."""
+    return p.c0 == 0 or p.rho_f == 0
+
+
 def initialize(cfg: RunConfig, data: InitialData,
-               sim: Simulator | None = None) -> State:
+               sim: Simulator | None = None, sources=None) -> State:
     """Build the discrete initial State, recovering p_b(0) from the fluid
-    content by an L2 projection (a BandForm of the pressure mass matrix) and
-    checking the degenerate-storage compatibility condition.
+    content by an L2 projection (a BandForm of the pressure mass matrix,
+    factored once per mesh) and checking the degenerate-storage
+    compatibility condition.
 
     The degenerate regimes harvest p_b(0) or the fluid state from one
-    implicit solve; it uses `sim` (a Simulator for cfg) when given and
-    builds one otherwise."""
+    implicit solve at t = 0; it uses `sim` (a Simulator for cfg) when given
+    and builds one otherwise, and `sources`, the (Fb, S, Ff) at t = 0 as
+    Simulator.step takes them, when given, and samples cfg.sources at t = 0
+    otherwise."""
     p = cfg.params
     d = cfg.disc
     s = _zero_state(cfg)
@@ -337,11 +431,10 @@ def initialize(cfg: RunConfig, data: InitialData,
     # at once: one band LU of the pressure mass matrix on the free pressure
     # DOFs (in node order), applied to every mode's load as (re, im) columns
     free = mb.free_mask(1)
-    form = BandForm([_coo(mass(mb, 1))], mb.free_position(1), int(free.sum()))
+    form, (lu, piv) = _pressure_projection(mb)
     load = mass_modes(_by_mode(d0)[:, 0], mb, 1) - p.alpha * divergence_modes(
         kap1, kap2, _by_mode(s.u), mb)
-    x = form.solve(*form.factor(form.values[0], None),
-                   np.ascontiguousarray(load[:, free].T).view(float))
+    x = form.solve(lu, piv, np.ascontiguousarray(load[:, free].T).view(float))
     prof = np.zeros_like(load)
     prof[:, free] = np.ascontiguousarray(x).view(complex).T
     resid = SpectralField(mb, 1, prof.reshape(d0.data.shape))
@@ -355,13 +448,14 @@ def initialize(cfg: RunConfig, data: InitialData,
             raise IncompatibleData(
                 f"c0 = 0 needs d0 = alpha div u0; residual {rnorm:.3e}")
 
-    if p.c0 == 0 or p.rho_f == 0:
+    if _probes(p):
         # pressure (c0 = 0) and fluid state (rho_f = 0) are instantaneously
         # determined; harvest them from one dummy implicit solve at t = 0
         if sim is None:
             sim = Simulator(cfg)
-        probe = sim.step(s, mode_sources=sample_sources(
-            cfg.sources, d.n1, d.n2, mb, mf, 0.0))
+        if sources is None:
+            sources = sample_sources(cfg.sources, d.n1, d.n2, mb, mf, 0.0)
+        probe = sim.step(s, mode_sources=sources)
         if p.c0 == 0:
             s.p_b = probe.p_b
         if p.rho_f == 0:
@@ -370,46 +464,61 @@ def initialize(cfg: RunConfig, data: InitialData,
     return s
 
 
-def _stacked_sources(sources, s0: State, times):
-    """(F_b, S, F_f) at each of `times` on the grid of the state s0, each None
-    when absent and else as spectral.sample_stacked gives it."""
-    n1, n2 = s0.u.lateral_shape
-    mb, mf = s0.u.mesh, s0.v.mesh
+def _stacked_sources(sources, sim: Simulator, times):
+    """(F_b, S, F_f) at each of `times` on the grid of `sim`, each None when
+    absent and else as spectral.sample_stacked gives it."""
+    d = sim.cfg.disc
     return tuple(
         None if fn is None or not callable(fn) and all(c is None for c in fn)
-        else sample_stacked(fn, n1, n2, mesh, degree, times)
-        for fn, mesh, degree in ((sources.F_b, mb, 2), (sources.S, mb, 1),
-                                 (sources.F_f, mf, 2)))
+        else sample_stacked(fn, d.n1, d.n2, mesh, degree, times)
+        for fn, mesh, degree in ((sources.F_b, sim.mb, 2),
+                                 (sources.S, sim.mb, 1),
+                                 (sources.F_f, sim.mf, 2)))
 
 
 def run(cfg: RunConfig, data: InitialData, sources=None) -> Trajectory:
     """Full implicit-Euler trajectory: the states, each step writing its live
-    modes into its level of the zeroed stacked trajectory, and the sources,
-    sampled once at the levels' stamps (sums of dt) after initialize, or
-    handed in from a run with the same grid, stamps and cfg.sources (a
-    sweep's reference); energy.audit evaluates the diagnostics from them."""
+    modes into its level of the zeroed stacked trajectory, and the sources of
+    levels 1..n, sampled once at the levels' stamps (sums of dt) after
+    initialize (before it, and at t = 0 too, when initialize probes: the
+    probe steps on level 0), or handed in from a run with the same grid,
+    stamps and cfg.sources (a sweep's reference); energy.audit evaluates the
+    diagnostics from them.
+
+    The live set is carried, not scanned at each step: level 0's live modes
+    (the one scan) joined with the rows where any level of the sources is
+    nonzero.  Each step writes that set, so the rows the last step wrote
+    plus the sources' rows are the same set again at every step."""
     d = cfg.disc.validate()
     ratio = d.t_end / d.dt
     if abs(ratio - round(ratio)) > 1e-9:
         raise Violation("t_end", d.t_end, "t_end/dt must be an integer")
     sim = Simulator(cfg)
-    s = initialize(cfg, data, sim)
     times = np.cumsum(np.r_[0.0, np.full(d.n_steps, d.dt)])
+    first = None
+    if sources is None and not cfg.sources.is_zero() and _probes(cfg.params):
+        sampled = _stacked_sources(cfg.sources, sim, times.tolist())
+        first = source_levels(sampled, 0)
+        sources = tuple(source_levels(sampled, slice(1, None)))
+    s = initialize(cfg, data, sim, first)
     stacked = State(times, *(
         None if f is None else replace(
             f, data=np.zeros(times.shape + f.data.shape, f.data.dtype))
         for f in s.fields()))
     # like each step, level 0 gets only the initial state's live modes
-    k1i, j = np.divmod(np.flatnonzero(_rows_with_data(
-        *(_by_mode(f) for f in s.fields()))), d.n2)
+    live = np.flatnonzero(_rows_with_data(*(_by_mode(f) for f in s.fields())))
+    k1i, j = np.divmod(live, d.n2)
     for level, f in zip(stacked.fields(), s.fields()):
         if f is not None:
             level.data[0, k1i, j] = f.data[k1i, j]
     if sources is None and not cfg.sources.is_zero():
-        sources = _stacked_sources(cfg.sources, s, times[1:].tolist())
+        sources = _stacked_sources(cfg.sources, sim, times[1:].tolist())
+    if sources is not None:
+        live = np.union1d(live, sim.source_rows(sources))
     for n in range(1, d.n_steps + 1):
         s = sim.step(s, mode_sources=None if sources is None
-                     else source_levels(sources, n - 1), out=stacked.levels(n))
+                     else source_levels(sources, n - 1), out=stacked.levels(n),
+                     live=live)
     return Trajectory(stacked, sources)
 
 

@@ -52,7 +52,7 @@ class Layout:
     mb: VerticalMesh
     mf: VerticalMesh
 
-    @property
+    @cached_property
     def full_sizes(self):
         nbu = self.mb.n_nodes(2)
         nbp = self.mb.n_nodes(1)
@@ -126,11 +126,11 @@ class Layout:
         return out
 
     def full_offsets(self):
-        offs, off = [], 0
-        for size in self.full_sizes:
-            offs.append(off)
-            off += size
-        return offs
+        return list(self._offsets)
+
+    @cached_property
+    def _offsets(self):
+        return tuple(np.cumsum((0,) + self.full_sizes[:-1]).tolist())
 
     def pack(self, u, p, v, pf=None):
         """Full-node arrays -> concatenated full vectors (..., n_full), with
@@ -152,6 +152,12 @@ class Layout:
         u, p, v, pf = (np.ascontiguousarray(full[..., offs[a]:offs[b]])
                        for a, b in ((0, 3), (3, 4), (4, 7), (7, 8)))
         return (u.reshape(lead + (3, -1)), p, v.reshape(lead + (3, -1)), pf)
+
+
+@lru_cache(maxsize=None)
+def layout(mb: VerticalMesh, mf: VerticalMesh) -> Layout:
+    """The Layout of a mesh pair, built once: its index arrays are shared."""
+    return Layout(mb, mf)
 
 
 def elastic_blocks(kap1, kap2, M, K, Ct, mu, lam):
@@ -491,8 +497,10 @@ class StepCoefficients:
     (elastic_split, divergence_split, darcy_split), so the split is exact.
 
     The time terms of the same entries give the prior-level operator
-    B(kap) = A(kap) - A_steady(kap), split the same way: `prior` holds each
-    B_m as an (n_free, n_free) CSR matrix of its nonzero entries.
+    B(kap) = A(kap) - A_steady(kap), split the same way: `prior_stack` holds
+    the B_m of the monomials MONOMIALS[m] that have entries, m in
+    `prior_monomials`, stacked as one CSR matrix of their nonzero entries
+    (the i-th of them on rows i * n_free to (i + 1) * n_free).
     """
 
     def __init__(self, p: PhysicalParams, mb: VerticalMesh, mf: VerticalMesh,
@@ -502,17 +510,25 @@ class StepCoefficients:
         self.params = p
         self.dt = dt
         self.steady = steady
-        self.layout = lay = Layout(mb, mf)
+        self.layout = lay = layout(mb, mf)
+        n = lay.n_free
         parts = [_step_entries(p, lay, dt, steady, m)
                  for m in range(len(MONOMIALS))]
         self.form = BandForm([(r, c, v) for r, c, v, _ in parts],
-                             lay.free_position, lay.n_free)
+                             lay.free_position, n)
         time = BandForm([(r, c, t) for r, c, _, t in parts],
-                        lay.free_position, lay.n_free)
-        # copies: eliminate_zeros edits the pattern, which csr() shares
-        self.prior = [time.csr(w).copy() for w in np.eye(len(MONOMIALS))]
-        for B in self.prior:
-            B.eliminate_zeros()
+                        lay.free_position, n)
+        # the rows of time.values, each without its zeros, in pattern order
+        nonzero = time.values != 0
+        self.prior_monomials = np.flatnonzero(nonzero.any(axis=1))
+        keep = nonzero[self.prior_monomials]
+        pattern_rows = np.repeat(np.arange(n), np.diff(time.indptr))
+        rows = (n * np.arange(len(keep))[:, None] + pattern_rows)[keep]
+        self.prior_stack = scipy.sparse.csr_matrix(
+            (time.values[self.prior_monomials][keep],
+             np.broadcast_to(time.indices, keep.shape)[keep],
+             np.searchsorted(rows, np.arange(len(keep) * n + 1))),
+            shape=(len(keep) * n, n))
 
 
 def build_step_matrix(mode, coeffs: StepCoefficients
@@ -587,13 +603,14 @@ def build_step_rhs(kap1, kap2, coeffs: StepCoefficients, prior=None,
 
     rhs = rhs[:, lay.free_indices()]
     if prior is not None:
-        # sum over MONOMIALS of kap**m * (B_m x), in (n_free, modes) layout
+        # sum over MONOMIALS of kap**m * (B_m x), in (n_free, modes) layout:
+        # one product with the stacked B_m, whose parts are weighted and
+        # then added one after another in MONOMIALS order (a reduction over
+        # the leading axis), as B_m x one at a time would be
         x = np.ascontiguousarray(lay.pack(un, pn, vn)[:, lay.free_indices()].T)
-        bx = np.zeros_like(x)
-        for c, B in zip(monomial_weights(kap1, kap2).T, coeffs.prior):
-            if B.nnz:
-                bx += c * (B @ x)
-        rhs += bx.T
+        parts = (coeffs.prior_stack @ x).reshape(-1, *x.shape)
+        parts *= monomial_weights(kap1, kap2).T[coeffs.prior_monomials, None]
+        rhs += np.add.reduce(parts, axis=0).T
     return rhs
 
 

@@ -362,7 +362,7 @@ def test_audit_detects_injected_violation():
 
 
 def test_audit_blocks_match_single_level_calls(monkeypatch):
-    """Across a block boundary (11 levels: blocks of 8 and 3, the second
+    """Across a block boundary (11 levels: blocks of 9 and 2, the second
     stacked with the level before it) the audit's e, d, slip and
     Kelvin-Voigt term equal single-level calls, and each level's energy is
     evaluated once."""

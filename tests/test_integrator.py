@@ -499,6 +499,108 @@ def test_live_mode_step_is_bitwise_the_full_spectrum_step(monkeypatch,
                               getattr(full, name).data)
 
 
+@pytest.mark.parametrize("S, zero_level", [
+    # separable: its weight is exactly 0 at the last stamp
+    ("0.3*cos(2*pi*x2)*x3*(t-0.0625)", 4),
+    # sampled at each stamp, and exactly 0 at the first: the modes (0, +-2)
+    # are in the carried live set at step 1 with zero data and no other
+    # source, where a scan would not hold them
+    ("0.3*cos(4*pi*(x2-t))*x3*(t-0.015625)", 1)])
+def test_carried_live_set_is_bitwise_the_rescanning_run(monkeypatch, S,
+                                                         zero_level):
+    """run() hands every step the live set of level 0 joined with the
+    sources' rows at any level.  A source that vanishes at one stamp leaves
+    some live modes with zero data there, and the trajectory is bit for bit
+    that of a run whose steps scan for their live modes."""
+    cfg = parse_config(_DRIVEN.replace(
+        "sources.S = 0.3*cos(2*pi*x2)*x3*(1+sin(2*pi*t))", f"sources.S = {S}"))
+    data = InitialData.from_plan(cfg)
+    carried = run(cfg, data)
+    step = Simulator.step
+    monkeypatch.setattr(Simulator, "step", lambda self, *args, live=None,
+                        **kwargs: step(self, *args, **kwargs))
+    scanned = run(cfg, data)
+    # the source is exactly zero at its zero level only
+    _, S_field, _ = carried.sources
+    size = (S_field.weights if hasattr(S_field, "weights")
+            else np.abs(S_field.data).reshape(cfg.disc.n_steps, -1).max(1))
+    assert np.flatnonzero(size == 0).tolist() == [zero_level - 1]
+    for a, b in zip(carried.stacked.fields(), scanned.stacked.fields()):
+        assert np.array_equal(a.data, b.data)
+    if zero_level == 1:
+        # S alone reaches the modes (0, +-2): zero at level 1, driven after
+        rows = [i for i, m in enumerate(mode_table(cfg.disc.n1, cfg.disc.n2))
+                if m in ((0, 2), (0, -2))]
+        for n, driven in ((1, False), (2, True)):
+            p_b = _by_mode(carried.stacked.levels(n).p_b)
+            assert p_b[rows].any() == driven
+
+
+@pytest.mark.parametrize("config", ["readme", "driven"])
+def test_run_scans_for_live_rows_a_fixed_number_of_times(monkeypatch,
+                                                         config):
+    """Level 0, the probe step and each separable source are scanned once;
+    the steps are not: the number of scans does not grow with the step
+    count."""
+    base = parse_config(README_RUN if config == "readme" else _DRIVEN)
+    calls = []
+    scan = integrator._rows_with_data
+
+    def counted(*arrays):
+        calls.append(len(arrays))
+        return scan(*arrays)
+
+    monkeypatch.setattr(integrator, "_rows_with_data", counted)
+    counts = []
+    for steps in (4, 8):
+        cfg = replace(base, disc=replace(base.disc,
+                                         t_end=steps * base.disc.dt))
+        calls.clear()
+        run(cfg, InitialData.from_plan(cfg))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_probe_steps_on_the_runs_sources(monkeypatch):
+    """With rho_f = 0 initialize probes the fluid state at t = 0.  In run()
+    the probe reads level 0 of the sources the run samples once, not a
+    sampling of its own, and Trajectory.sources keeps levels 1..n.  The
+    probe matches initialize's own sampling to roundoff."""
+    from bsqs.spectral import SeparableField
+    cfg = parse_config(_DRIVEN.replace("physics.rho_f = 1.0",
+                                       "physics.rho_f = 0.0"))
+    data = InitialData.from_plan(cfg)
+    alone = initialize(cfg, data)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the probe sampled the sources again")
+
+    monkeypatch.setattr(integrator, "sample_sources", refuse)
+    traj = run(cfg, data)
+    t = traj.stacked.t[1:]
+    for f in traj.sources:
+        assert isinstance(f, SeparableField) and f.weights.shape == t.shape
+    _, S, _ = traj.sources
+    np.testing.assert_allclose(S.weights, 1 + np.sin(2 * np.pi * t),
+                               rtol=1e-15)
+    level0 = traj.states[0]
+    for name in ("v", "p_f"):
+        a, b = getattr(level0, name).data, getattr(alone, name).data
+        assert np.abs(b).max() > 0
+        assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+
+def test_pressure_projection_is_factored_once_per_mesh():
+    """initialize's L2 projection onto the pressure space depends only on
+    the Biot mesh: its band form and LU are built once per mesh."""
+    integrator._pressure_projection.cache_clear()
+    for c0 in (1.0, 2.0):
+        cfg = make_config(params=make_params(c0=c0))
+        initialize(cfg, smooth_data(cfg, u0=True, d0=True))
+    info = integrator._pressure_projection.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def _readme_state():
     cfg = parse_config(README_RUN)
     return cfg, initialize(cfg, InitialData.from_plan(cfg))
@@ -688,13 +790,19 @@ def test_check_same_grid():
     check_same_grid(ta, ta)                        # no raise
 
 
-@pytest.mark.parametrize("levels", [2, 8, 9, 16, 17, 33])
+# levels of a run -> its blocks of up to 8 increments
+_BLOCKS = {2: 1, 8: 1, 9: 1, 10: 2, 16: 2, 17: 2, 33: 4}
+
+
+@pytest.mark.parametrize("levels", [2, 8, 9, 10, 16, 17, 33])
 def test_blocks_cover_each_level_and_increment_once(levels):
     """Every level is an own level of one block, every increment (n - 1, n)
-    lies in one block, and every block is a view of the stacked run."""
+    lies in one block, and every block is a view of the stacked run.  A
+    block holds 8 increments: an 8-step run (9 levels) is one block."""
     traj = run(make_config(t_end=(levels - 1) / 16), InitialData())
     stacked = traj.stacked
     own_levels, increments = [], []
+    assert len(list(traj.blocks())) == _BLOCKS[levels]
     for blk, own in traj.blocks():
         for f, g in zip(blk.fields(), stacked.fields()):
             if f is not None:
